@@ -9,6 +9,7 @@ package interp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/mpisim"
@@ -32,107 +33,106 @@ func RunProgram(src string, n int, params mpisim.Params, sinks []trace.Sink) (fl
 }
 
 // Execute runs prog's main function on rank r. The program must have passed
-// lang.Check. Runtime errors (division by zero, bad message sizes, undefined
-// behavior) panic; mpisim.Run converts rank panics into errors.
+// lang.Check, whose resolved slots, frame sizes and callees it runs on.
+// Runtime errors (division by zero, bad message sizes, undefined behavior)
+// panic; mpisim.Run converts rank panics into errors.
 func Execute(prog *lang.Program, r *mpisim.Rank) {
+	if !prog.Checked() {
+		panic("interp: program has not passed lang.Check")
+	}
 	ex := &executor{
-		prog: prog,
-		rank: r,
-		sink: r.Sink(),
-		reqs: map[int64]*mpisim.Request{},
+		rank:  r,
+		sink:  r.Sink(),
+		reqs:  map[int64]*mpisim.Request{},
+		stack: make([]int64, 0, 256),
 	}
 	r.Init()
 	mainFn := prog.ByName["main"]
 	if mainFn == nil {
 		panic("interp: program has no main")
 	}
-	ex.callUser(mainFn, nil)
+	ex.callUser(mainFn, ex.reserve(mainFn))
 	r.Finalize()
 }
 
+// executor runs one rank. Variables live in one frame stack: an activation
+// of fn owns stack[fp : fp+fn.FrameSize], and an identifier's value is
+// stack[fp+slot]. A call may reallocate the stack, so stores evaluate their
+// value before they index it.
 type executor struct {
-	prog  *lang.Program
 	rank  *mpisim.Rank
 	sink  trace.Sink
 	reqs  map[int64]*mpisim.Request
+	stack []int64
+	fp    int
 	depth int
 }
 
-// scope is a lexical environment frame.
-type scope struct {
-	vars   map[string]int64
-	parent *scope
+// reserve pushes a frame for fn on top of the stack and returns its base.
+func (ex *executor) reserve(fn *lang.FuncDecl) int {
+	base := len(ex.stack)
+	ex.stack = slices.Grow(ex.stack, int(fn.FrameSize))[:base+int(fn.FrameSize)]
+	return base
 }
 
-func (s *scope) lookup(name string) (*scope, bool) {
-	for e := s; e != nil; e = e.parent {
-		if _, ok := e.vars[name]; ok {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
-func (ex *executor) callUser(fn *lang.FuncDecl, args []int64) int64 {
+// callUser runs fn in the frame at base, which holds its arguments, and
+// pops that frame on return.
+func (ex *executor) callUser(fn *lang.FuncDecl, base int) int64 {
 	ex.depth++
 	if ex.depth > 1<<16 {
 		panic(fmt.Sprintf("interp: recursion deeper than %d in %s", 1<<16, fn.Name))
 	}
-	defer func() { ex.depth-- }()
-	env := &scope{vars: make(map[string]int64, len(fn.Params)+4)}
-	for i, p := range fn.Params {
-		env.vars[p] = args[i]
-	}
-	_, val := ex.block(fn.Body, env)
+	callerFP := ex.fp
+	ex.fp = base
+	_, val := ex.block(fn.Body)
+	ex.fp = callerFP
+	ex.stack = ex.stack[:base]
+	ex.depth--
 	return val
 }
 
-// block executes a statement list in a fresh child scope; it reports whether
-// a return unwound and the return value.
-func (ex *executor) block(b *lang.Block, parent *scope) (bool, int64) {
-	env := &scope{vars: map[string]int64{}, parent: parent}
+// block executes a statement list; it reports whether a return unwound and
+// the return value.
+func (ex *executor) block(b *lang.Block) (bool, int64) {
 	for _, s := range b.Stmts {
-		if ret, v := ex.stmt(s, env); ret {
+		if ret, v := ex.stmt(s); ret {
 			return true, v
 		}
 	}
 	return false, 0
 }
 
-func (ex *executor) stmt(s lang.Stmt, env *scope) (bool, int64) {
+func (ex *executor) stmt(s lang.Stmt) (bool, int64) {
 	switch s := s.(type) {
 	case *lang.VarStmt:
-		env.vars[s.Name] = ex.eval(s.Init, env)
+		v := ex.eval(s.Init)
+		ex.stack[ex.fp+int(s.Slot)] = v
 		return false, 0
 	case *lang.AssignStmt:
-		v := ex.eval(s.Value, env)
-		target, ok := env.lookup(s.Name)
-		if !ok {
-			panic(fmt.Sprintf("interp: assignment to undeclared %q", s.Name))
-		}
-		target.vars[s.Name] = v
+		v := ex.eval(s.Value)
+		ex.stack[ex.fp+int(s.Slot)] = v
 		return false, 0
 	case *lang.ExprStmt:
-		ex.eval(s.X, env)
+		ex.eval(s.X)
 		return false, 0
 	case *lang.ReturnStmt:
 		if s.Value != nil {
-			return true, ex.eval(s.Value, env)
+			return true, ex.eval(s.Value)
 		}
 		return true, 0
 	case *lang.Block:
-		return ex.block(s, env)
+		return ex.block(s)
 	case *lang.IfStmt:
 		site := int32(s.ID())
-		if truthy(ex.eval(s.Cond, env)) {
+		if truthy(ex.eval(s.Cond)) {
 			ex.sink.BranchEnter(site, 0)
-			ret, v := ex.block(s.Then, env)
+			ret, v := ex.block(s.Then)
 			ex.sink.StructExit()
 			return ret, v
 		}
 		if s.Else != nil {
 			ex.sink.BranchEnter(site, 1)
-			ret, v := ex.stmt(s.Else, env)
+			ret, v := ex.stmt(s.Else)
 			ex.sink.StructExit()
 			return ret, v
 		}
@@ -140,21 +140,20 @@ func (ex *executor) stmt(s lang.Stmt, env *scope) (bool, int64) {
 		return false, 0
 	case *lang.ForStmt:
 		site := int32(s.ID())
-		loopEnv := &scope{vars: map[string]int64{}, parent: env}
 		if s.Init != nil {
-			if ret, v := ex.stmt(s.Init, loopEnv); ret {
+			if ret, v := ex.stmt(s.Init); ret {
 				return ret, v
 			}
 		}
 		ex.sink.LoopEnter(site)
-		for truthy(ex.eval(s.Cond, loopEnv)) {
+		for truthy(ex.eval(s.Cond)) {
 			ex.sink.LoopIter(site)
-			if ret, v := ex.block(s.Body, loopEnv); ret {
+			if ret, v := ex.block(s.Body); ret {
 				ex.sink.StructExit()
 				return ret, v
 			}
 			if s.Post != nil {
-				if ret, v := ex.stmt(s.Post, loopEnv); ret {
+				if ret, v := ex.stmt(s.Post); ret {
 					ex.sink.StructExit()
 					return ret, v
 				}
@@ -165,9 +164,9 @@ func (ex *executor) stmt(s lang.Stmt, env *scope) (bool, int64) {
 	case *lang.WhileStmt:
 		site := int32(s.ID())
 		ex.sink.LoopEnter(site)
-		for truthy(ex.eval(s.Cond, env)) {
+		for truthy(ex.eval(s.Cond)) {
 			ex.sink.LoopIter(site)
-			if ret, v := ex.block(s.Body, env); ret {
+			if ret, v := ex.block(s.Body); ret {
 				ex.sink.StructExit()
 				return ret, v
 			}
@@ -187,33 +186,29 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
-func (ex *executor) eval(e lang.Expr, env *scope) int64 {
+func (ex *executor) eval(e lang.Expr) int64 {
 	switch e := e.(type) {
 	case *lang.IntLit:
 		return e.Value
 	case *lang.AnyLit:
 		return int64(trace.AnySource)
 	case *lang.Ident:
-		switch e.Name {
-		case "rank":
+		switch e.Slot {
+		case lang.SlotRank:
 			return int64(ex.rank.ID())
-		case "size":
+		case lang.SlotSize:
 			return int64(ex.rank.Size())
 		}
-		sc, ok := env.lookup(e.Name)
-		if !ok {
-			panic(fmt.Sprintf("interp: undeclared variable %q", e.Name))
-		}
-		return sc.vars[e.Name]
+		return ex.stack[ex.fp+int(e.Slot)]
 	case *lang.UnaryExpr:
-		v := ex.eval(e.X, env)
+		v := ex.eval(e.X)
 		if e.Neg {
 			return -v
 		}
 		return boolToInt(v == 0)
 	case *lang.BinaryExpr:
-		l := ex.eval(e.L, env)
-		r := ex.eval(e.R, env)
+		l := ex.eval(e.L)
+		r := ex.eval(e.R)
 		switch e.Op {
 		case lang.OpAdd:
 			return l + r
@@ -250,25 +245,25 @@ func (ex *executor) eval(e lang.Expr, env *scope) int64 {
 		}
 		panic(fmt.Sprintf("interp: unknown operator %v", e.Op))
 	case *lang.CallExpr:
-		return ex.call(e, env)
+		if e.Callee != nil {
+			return ex.call(e)
+		}
+		return ex.intrinsic(e)
 	}
 	panic(fmt.Sprintf("interp: unknown expression %T", e))
 }
 
-func (ex *executor) call(e *lang.CallExpr, env *scope) int64 {
-	args := make([]int64, len(e.Args))
+// call evaluates a user call's arguments straight into the callee's
+// frame, reserved before the first argument so that calls inside the
+// arguments push their frames above it.
+func (ex *executor) call(e *lang.CallExpr) int64 {
+	base := ex.reserve(e.Callee)
 	for i, a := range e.Args {
-		args[i] = ex.eval(a, env)
-	}
-	if lang.IsIntrinsic(e.Name) {
-		return ex.intrinsic(e, args)
-	}
-	fn := ex.prog.ByName[e.Name]
-	if fn == nil {
-		panic(fmt.Sprintf("interp: call to undefined %q", e.Name))
+		v := ex.eval(a)
+		ex.stack[base+i] = v
 	}
 	ex.sink.CallEnter(int32(e.ID()))
-	v := ex.callUser(fn, args)
+	v := ex.callUser(e.Callee, base)
 	ex.sink.StructExit()
 	return v
 }
@@ -282,70 +277,78 @@ func (ex *executor) msgSize(e *lang.CallExpr, v int64) int {
 	return int(v)
 }
 
-func (ex *executor) intrinsic(e *lang.CallExpr, args []int64) int64 {
+// maxIntrinsicArgs is the largest arity in lang.Intrinsics.
+const maxIntrinsicArgs = 3
+
+func (ex *executor) intrinsic(e *lang.CallExpr) int64 {
+	var args [maxIntrinsicArgs]int64
+	for i, a := range e.Args {
+		args[i] = ex.eval(a)
+	}
 	r := ex.rank
-	if lang.IsCommIntrinsic(e.Name) {
+	op := e.Intrinsic
+	if op.IsComm() {
 		ex.sink.CommSite(int32(e.ID()))
 	}
-	switch e.Name {
-	case "send":
+	switch op {
+	case lang.InSend:
 		r.Send(int(args[0]), ex.msgSize(e, args[1]), int(args[2]))
-	case "recv":
+	case lang.InRecv:
 		r.Recv(int(args[0]), ex.msgSize(e, args[1]), int(args[2]))
-	case "isend":
+	case lang.InIsend:
 		req := r.Isend(int(args[0]), ex.msgSize(e, args[1]), int(args[2]))
 		ex.reqs[int64(req.ID)] = req
 		return int64(req.ID)
-	case "irecv":
+	case lang.InIrecv:
 		req := r.Irecv(int(args[0]), ex.msgSize(e, args[1]), int(args[2]))
 		ex.reqs[int64(req.ID)] = req
 		return int64(req.ID)
-	case "wait":
+	case lang.InWait:
 		req, ok := ex.reqs[args[0]]
 		if !ok {
 			panic(fmt.Sprintf("interp: %s: wait on unknown request %d", e.Pos(), args[0]))
 		}
 		r.Wait(req)
 		delete(ex.reqs, args[0])
-	case "waitall":
+	case lang.InWaitall:
 		r.Waitall()
 		clear(ex.reqs)
-	case "waitsome":
+	case lang.InWaitsome:
 		return int64(r.Waitsome())
-	case "testany":
+	case lang.InTestany:
 		return int64(r.Testany())
-	case "barrier":
+	case lang.InBarrier:
 		r.Barrier()
-	case "bcast":
+	case lang.InBcast:
 		r.Bcast(int(args[0]), ex.msgSize(e, args[1]))
-	case "reduce":
+	case lang.InReduce:
 		r.Reduce(int(args[0]), ex.msgSize(e, args[1]))
-	case "allreduce":
+	case lang.InAllreduce:
 		r.Allreduce(ex.msgSize(e, args[0]))
-	case "gather":
+	case lang.InGather:
 		r.Gather(int(args[0]), ex.msgSize(e, args[1]))
-	case "scatter":
+	case lang.InScatter:
 		r.Scatter(int(args[0]), ex.msgSize(e, args[1]))
-	case "allgather":
+	case lang.InAllgather:
 		r.Allgather(ex.msgSize(e, args[0]))
-	case "alltoall":
+	case lang.InAlltoall:
 		r.Alltoall(ex.msgSize(e, args[0]))
-	case "compute":
+	case lang.InCompute:
 		if args[0] < 0 {
 			panic(fmt.Sprintf("interp: %s: negative compute time %d", e.Pos(), args[0]))
 		}
 		r.Compute(float64(args[0]))
-	case "min":
+	case lang.InMin:
 		if args[0] < args[1] {
 			return args[0]
 		}
 		return args[1]
-	case "max":
+	case lang.InMax:
 		if args[0] > args[1] {
 			return args[0]
 		}
 		return args[1]
-	case "log2":
+	case lang.InLog2:
 		if args[0] < 1 {
 			panic(fmt.Sprintf("interp: %s: log2 of %d", e.Pos(), args[0]))
 		}

@@ -33,7 +33,21 @@ type Program struct {
 	ByName map[string]*FuncDecl
 	// NumNodes is one past the largest NodeID assigned.
 	NumNodes int32
+	// checked is set by a successful Check, whose name resolution the
+	// interpreter runs on.
+	checked bool
 }
+
+// Checked reports whether the program has passed Check, and so carries the
+// resolved slots, frame sizes and callees the interpreter needs.
+func (p *Program) Checked() bool { return p.checked }
+
+// Slot codes for the predeclared variables. Check resolves every other
+// variable to a frame slot >= 0.
+const (
+	SlotRank int32 = -1
+	SlotSize int32 = -2
+)
 
 // FuncDecl is a function definition.
 type FuncDecl struct {
@@ -41,6 +55,9 @@ type FuncDecl struct {
 	Name   string
 	Params []string
 	Body   *Block
+	// FrameSize is the number of variable slots one activation needs, set
+	// by Check. Parameters occupy slots 0..len(Params)-1.
+	FrameSize int32
 }
 
 // Block is a brace-delimited statement list.
@@ -60,6 +77,9 @@ type VarStmt struct {
 	base
 	Name string
 	Init Expr
+	// Slot is the frame slot Check gave the declared variable; a name that
+	// shadows another gets a slot of its own.
+	Slot int32
 }
 
 // AssignStmt assigns to an existing variable: x = expr;
@@ -67,6 +87,8 @@ type AssignStmt struct {
 	base
 	Name  string
 	Value Expr
+	// Slot is the frame slot of the variable Check resolved Name to.
+	Slot int32
 }
 
 // IfStmt is a two-way branch; Else may be nil, a *Block, or another *IfStmt
@@ -133,6 +155,8 @@ type IntLit struct {
 type Ident struct {
 	base
 	Name string
+	// Slot is the frame slot Check resolved Name to, or SlotRank/SlotSize.
+	Slot int32
 }
 
 // AnyLit is the ANY wildcard source literal.
@@ -184,6 +208,10 @@ type CallExpr struct {
 	base
 	Name string
 	Args []Expr
+	// Check resolves the call: Intrinsic is the builtin's opcode, or
+	// NotIntrinsic for a user function, whose declaration is Callee.
+	Intrinsic IntrinsicOp
+	Callee    *FuncDecl
 }
 
 func (*IntLit) expr()     {}
@@ -193,11 +221,42 @@ func (*BinaryExpr) expr() {}
 func (*UnaryExpr) expr()  {}
 func (*CallExpr) expr()   {}
 
+// IntrinsicOp is a builtin's opcode. The communication intrinsics form
+// the range InSend..InAlltoall.
+type IntrinsicOp uint8
+
+const (
+	NotIntrinsic IntrinsicOp = iota
+	InSend
+	InRecv
+	InIsend
+	InIrecv
+	InWait
+	InWaitall
+	InWaitsome
+	InTestany
+	InBarrier
+	InBcast
+	InReduce
+	InAllreduce
+	InGather
+	InScatter
+	InAllgather
+	InAlltoall
+	InCompute
+	InMin
+	InMax
+	InLog2
+)
+
+// IsComm reports whether the intrinsic emits an MPI event.
+func (op IntrinsicOp) IsComm() bool { return op >= InSend && op <= InAlltoall }
+
 // Intrinsic describes a builtin callable.
 type Intrinsic struct {
 	Name   string
+	Op     IntrinsicOp
 	Arity  int
-	IsComm bool // emits an MPI event
 	HasRet bool // produces a value
 }
 
@@ -205,38 +264,32 @@ type Intrinsic struct {
 // routines the paper's runtime intercepts; compute advances the synthetic
 // compute clock; min/max/log2 are arithmetic helpers.
 var Intrinsics = map[string]Intrinsic{
-	"send":      {"send", 3, true, false},    // send(dest, bytes, tag)
-	"recv":      {"recv", 3, true, false},    // recv(src|ANY, bytes, tag)
-	"isend":     {"isend", 3, true, true},    // req = isend(dest, bytes, tag)
-	"irecv":     {"irecv", 3, true, true},    // req = irecv(src|ANY, bytes, tag)
-	"wait":      {"wait", 1, true, false},    // wait(req)
-	"waitall":   {"waitall", 0, true, false}, // waits all pending requests
-	"waitsome":  {"waitsome", 0, true, true}, // completes >=1 pending, returns count
-	"testany":   {"testany", 0, true, true},  // completes <=1 pending, returns 0/1
-	"barrier":   {"barrier", 0, true, false},
-	"bcast":     {"bcast", 2, true, false},     // bcast(root, bytes)
-	"reduce":    {"reduce", 2, true, false},    // reduce(root, bytes)
-	"allreduce": {"allreduce", 1, true, false}, // allreduce(bytes)
-	"gather":    {"gather", 2, true, false},
-	"scatter":   {"scatter", 2, true, false},
-	"allgather": {"allgather", 1, true, false},
-	"alltoall":  {"alltoall", 1, true, false},
-	"compute":   {"compute", 1, false, false}, // compute(ns)
-	"min":       {"min", 2, false, true},
-	"max":       {"max", 2, false, true},
-	"log2":      {"log2", 1, false, true}, // floor(log2(x)), x >= 1
+	"send":      {"send", InSend, 3, false},        // send(dest, bytes, tag)
+	"recv":      {"recv", InRecv, 3, false},        // recv(src|ANY, bytes, tag)
+	"isend":     {"isend", InIsend, 3, true},       // req = isend(dest, bytes, tag)
+	"irecv":     {"irecv", InIrecv, 3, true},       // req = irecv(src|ANY, bytes, tag)
+	"wait":      {"wait", InWait, 1, false},        // wait(req)
+	"waitall":   {"waitall", InWaitall, 0, false},  // waits all pending requests
+	"waitsome":  {"waitsome", InWaitsome, 0, true}, // completes >=1 pending, returns count
+	"testany":   {"testany", InTestany, 0, true},   // completes <=1 pending, returns 0/1
+	"barrier":   {"barrier", InBarrier, 0, false},
+	"bcast":     {"bcast", InBcast, 2, false},         // bcast(root, bytes)
+	"reduce":    {"reduce", InReduce, 2, false},       // reduce(root, bytes)
+	"allreduce": {"allreduce", InAllreduce, 1, false}, // allreduce(bytes)
+	"gather":    {"gather", InGather, 2, false},
+	"scatter":   {"scatter", InScatter, 2, false},
+	"allgather": {"allgather", InAllgather, 1, false},
+	"alltoall":  {"alltoall", InAlltoall, 1, false},
+	"compute":   {"compute", InCompute, 1, false}, // compute(ns)
+	"min":       {"min", InMin, 2, true},
+	"max":       {"max", InMax, 2, true},
+	"log2":      {"log2", InLog2, 1, true}, // floor(log2(x)), x >= 1
 }
 
 // IsIntrinsic reports whether name is a builtin.
 func IsIntrinsic(name string) bool {
 	_, ok := Intrinsics[name]
 	return ok
-}
-
-// IsCommIntrinsic reports whether name is a communication intrinsic.
-func IsCommIntrinsic(name string) bool {
-	in, ok := Intrinsics[name]
-	return ok && in.IsComm
 }
 
 // Error is a positioned front-end error.

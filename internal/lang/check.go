@@ -6,6 +6,11 @@ import "fmt"
 // misuse detection, and recursion-cycle discovery (recursive functions are
 // legal; the CST builder converts them to pseudo-loops per the paper).
 // It returns the set of functions that participate in recursion cycles.
+//
+// Check records what it resolved on the AST for the interpreter: a frame
+// slot on every VarStmt, AssignStmt and Ident, a frame size on every
+// FuncDecl, and the callee or intrinsic opcode on every CallExpr. Running it
+// again on the same program records the same values.
 func Check(prog *Program) (recursive map[string]bool, err error) {
 	if _, ok := prog.ByName["main"]; !ok {
 		return nil, fmt.Errorf("program has no func main")
@@ -16,57 +21,74 @@ func Check(prog *Program) (recursive map[string]bool, err error) {
 	for _, fn := range prog.Funcs {
 		c := &checker{prog: prog, fn: fn}
 		if err := c.checkFunc(); err != nil {
+			prog.checked = false
 			return nil, err
 		}
 	}
+	prog.checked = true
 	return findRecursive(prog), nil
 }
 
-// Predeclared read-only variables available in every function.
-var predeclared = map[string]bool{"rank": true, "size": true}
+// Predeclared read-only variables available in every function, with their
+// slot codes.
+var predeclared = map[string]int32{"rank": SlotRank, "size": SlotSize}
 
+// checker resolves one function. Each scope maps its names to frame slots.
+// A scope's slots are contiguous and end at next, so popping a scope frees
+// them for the next sibling scope; frame is the high-water mark.
 type checker struct {
-	prog   *Program
-	fn     *FuncDecl
-	scopes []map[string]bool
+	prog        *Program
+	fn          *FuncDecl
+	scopes      []map[string]int32
+	next, frame int32
 }
 
-func (c *checker) push() { c.scopes = append(c.scopes, map[string]bool{}) }
-func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) push() { c.scopes = append(c.scopes, map[string]int32{}) }
+func (c *checker) pop() {
+	c.next -= int32(len(c.scopes[len(c.scopes)-1]))
+	c.scopes = c.scopes[:len(c.scopes)-1]
+}
 
-func (c *checker) declare(pos Pos, name string) error {
-	if predeclared[name] {
-		return errf(pos, "cannot redeclare builtin variable %q", name)
+func (c *checker) declare(pos Pos, name string) (int32, error) {
+	if _, ok := predeclared[name]; ok {
+		return 0, errf(pos, "cannot redeclare builtin variable %q", name)
 	}
 	top := c.scopes[len(c.scopes)-1]
-	if top[name] {
-		return errf(pos, "variable %q redeclared in this block", name)
+	if _, ok := top[name]; ok {
+		return 0, errf(pos, "variable %q redeclared in this block", name)
 	}
-	top[name] = true
-	return nil
+	slot := c.next
+	top[name] = slot
+	c.next++
+	c.frame = max(c.frame, c.next)
+	return slot, nil
 }
 
-func (c *checker) resolved(name string) bool {
-	if predeclared[name] {
-		return true
+// resolve returns the slot of the innermost declaration of name.
+func (c *checker) resolve(name string) (int32, bool) {
+	if slot, ok := predeclared[name]; ok {
+		return slot, true
 	}
 	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if c.scopes[i][name] {
-			return true
+		if slot, ok := c.scopes[i][name]; ok {
+			return slot, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 func (c *checker) checkFunc() error {
-	c.scopes = nil
 	c.push()
 	for _, prm := range c.fn.Params {
-		if err := c.declare(c.fn.Pos(), prm); err != nil {
+		if _, err := c.declare(c.fn.Pos(), prm); err != nil {
 			return err
 		}
 	}
-	return c.checkBlock(c.fn.Body)
+	if err := c.checkBlock(c.fn.Body); err != nil {
+		return err
+	}
+	c.fn.FrameSize = c.frame
+	return nil
 }
 
 func (c *checker) checkBlock(b *Block) error {
@@ -86,14 +108,18 @@ func (c *checker) checkStmt(s Stmt) error {
 		if err := c.checkExpr(s.Init); err != nil {
 			return err
 		}
-		return c.declare(s.Pos(), s.Name)
+		slot, err := c.declare(s.Pos(), s.Name)
+		s.Slot = slot
+		return err
 	case *AssignStmt:
-		if predeclared[s.Name] {
+		if _, ok := predeclared[s.Name]; ok {
 			return errf(s.Pos(), "cannot assign to builtin variable %q", s.Name)
 		}
-		if !c.resolved(s.Name) {
+		slot, ok := c.resolve(s.Name)
+		if !ok {
 			return errf(s.Pos(), "assignment to undeclared variable %q", s.Name)
 		}
+		s.Slot = slot
 		return c.checkExpr(s.Value)
 	case *IfStmt:
 		if err := c.checkCond(s.Cond); err != nil {
@@ -151,12 +177,14 @@ func (c *checker) checkExpr(e Expr) error {
 	case *AnyLit:
 		return errf(e.Pos(), "ANY is only valid as the source argument of recv/irecv")
 	case *Ident:
-		if !c.resolved(e.Name) {
+		slot, ok := c.resolve(e.Name)
+		if !ok {
 			if _, isFn := c.prog.ByName[e.Name]; isFn || IsIntrinsic(e.Name) {
 				return errf(e.Pos(), "%q is a function; did you mean %s(...)?", e.Name, e.Name)
 			}
 			return errf(e.Pos(), "undeclared variable %q", e.Name)
 		}
+		e.Slot = slot
 		return nil
 	case *UnaryExpr:
 		return c.checkExpr(e.X)
@@ -183,7 +211,7 @@ func (c *checker) checkCond(e Expr) error {
 			return
 		}
 		in, ok := Intrinsics[name]
-		if !ok || in.IsComm || name == "compute" {
+		if !ok || in.Op.IsComm() || name == "compute" {
 			impure = errf(e.Pos(), "condition must be pure: call to %q not allowed here", name)
 		}
 	})
@@ -195,6 +223,7 @@ func (c *checker) checkCond(e Expr) error {
 
 func (c *checker) checkCall(e *CallExpr) error {
 	if in, ok := Intrinsics[e.Name]; ok {
+		e.Intrinsic, e.Callee = in.Op, nil
 		if len(e.Args) != in.Arity {
 			return errf(e.Pos(), "%s takes %d argument(s), got %d", e.Name, in.Arity, len(e.Args))
 		}
@@ -219,6 +248,7 @@ func (c *checker) checkCall(e *CallExpr) error {
 	if len(e.Args) != len(callee.Params) {
 		return errf(e.Pos(), "%s takes %d argument(s), got %d", e.Name, len(callee.Params), len(e.Args))
 	}
+	e.Intrinsic, e.Callee = NotIntrinsic, callee
 	for _, a := range e.Args {
 		if err := c.checkExpr(a); err != nil {
 			return err

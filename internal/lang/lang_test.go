@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 const jacobiSrc = `
@@ -367,18 +369,26 @@ func solo() { barrier(); }
 }
 
 func TestIntrinsicTable(t *testing.T) {
-	if !IsIntrinsic("send") || !IsCommIntrinsic("alltoall") {
+	if !IsIntrinsic("send") || !Intrinsics["alltoall"].Op.IsComm() {
 		t.Fatal("intrinsic lookup broken")
 	}
-	if IsCommIntrinsic("compute") || IsCommIntrinsic("min") {
+	if Intrinsics["compute"].Op.IsComm() || Intrinsics["min"].Op.IsComm() {
 		t.Fatal("compute/min must not be comm intrinsics")
 	}
 	if IsIntrinsic("nosuch") {
 		t.Fatal("unknown intrinsic reported")
 	}
+	seen := map[IntrinsicOp]string{}
 	for name, in := range Intrinsics {
 		if in.Name != name {
 			t.Errorf("intrinsic %q has mismatched Name %q", name, in.Name)
+		}
+		if prev, dup := seen[in.Op]; dup || in.Op == NotIntrinsic {
+			t.Errorf("intrinsic %q has opcode %d, also used by %q", name, in.Op, prev)
+		}
+		seen[in.Op] = name
+		if in.Op.IsComm() != (trace.OpByName(name) != trace.OpNone) {
+			t.Errorf("intrinsic %q: IsComm = %v, but its MPI op is %v", name, in.Op.IsComm(), trace.OpByName(name))
 		}
 	}
 }

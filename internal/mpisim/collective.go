@@ -113,13 +113,15 @@ func (r *Rank) rootedCollective(op trace.Op, root, size int) {
 	r.checkPeer(root, false)
 	start := r.nowNS
 	r.collective(op, root, size)
-	r.emit(&trace.Event{Op: op, Size: size, Peer: root, ReqID: -1}, start)
+	r.ev = trace.Event{Op: op, Size: size, Peer: root, ReqID: -1}
+	r.emit(start)
 }
 
 func (r *Rank) rootlessCollective(op trace.Op, size int) {
 	start := r.nowNS
 	r.collective(op, 0, size)
-	r.emit(&trace.Event{Op: op, Size: size, Peer: trace.NoPeer, ReqID: -1}, start)
+	r.ev = trace.Event{Op: op, Size: size, Peer: trace.NoPeer, ReqID: -1}
+	r.emit(start)
 }
 
 // Barrier synchronizes all ranks.

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -19,6 +20,11 @@ type Rank struct {
 
 	nextReq int32
 	pending []*Request
+	reaped  []*Request // Waitsome's scratch list of completed requests
+
+	// ev is the event handed to the sink. It is reused for every event; a
+	// sink that keeps an event copies it (see trace.Sink.Event).
+	ev trace.Event
 }
 
 // Request is a non-blocking operation handle.
@@ -67,14 +73,15 @@ func (r *Rank) checkPeer(peer int, wildcardOK bool) {
 	}
 }
 
-// emit finishes an event: stamps compute/duration, resets the compute
-// accumulator, and forwards to the sink.
-func (r *Rank) emit(e *trace.Event, startNS float64) {
-	e.DurationNS = r.nowNS - startNS
-	e.ComputeNS = r.computeNS
-	e.GID = -1
+// emit finishes the event the caller filled into r.ev: stamps
+// compute/duration, resets the compute accumulator, and forwards it to the
+// sink.
+func (r *Rank) emit(startNS float64) {
+	r.ev.DurationNS = r.nowNS - startNS
+	r.ev.ComputeNS = r.computeNS
+	r.ev.GID = -1
 	r.computeNS = 0
-	r.sink.Event(e)
+	r.sink.Event(&r.ev)
 }
 
 // p2pCost is the sender-side cost of injecting a message: the shared LogGP
@@ -92,7 +99,8 @@ func (r *Rank) Send(dest, size, tag int) {
 	r.checkPeer(dest, false)
 	start := r.nowNS
 	r.deliver(dest, size, tag)
-	r.emit(&trace.Event{Op: trace.OpSend, Size: size, Peer: dest, Tag: tag, ReqID: -1}, start)
+	r.ev = trace.Event{Op: trace.OpSend, Size: size, Peer: dest, Tag: tag, ReqID: -1}
+	r.emit(start)
 }
 
 func (r *Rank) deliver(dest, size, tag int) {
@@ -116,9 +124,9 @@ func (r *Rank) Recv(src, size, tag int) int {
 	p := r.rt.params
 	r.seq++
 	r.nowNS = math.Max(r.nowNS+p.OverheadNS*p.noise(r.id, r.seq), msg.availNS)
-	e := &trace.Event{Op: trace.OpRecv, Size: size, Peer: msg.src, Tag: tag, ReqID: -1,
+	r.ev = trace.Event{Op: trace.OpRecv, Size: size, Peer: msg.src, Tag: tag, ReqID: -1,
 		Wildcard: src == trace.AnySource}
-	r.emit(e, start)
+	r.emit(start)
 	return msg.src
 }
 
@@ -157,7 +165,8 @@ func (r *Rank) Isend(dest, size, tag int) *Request {
 		done: true, matched: -1, availNS: r.nowNS}
 	r.nextReq++
 	r.pending = append(r.pending, req)
-	r.emit(&trace.Event{Op: trace.OpIsend, Size: size, Peer: dest, Tag: tag, ReqID: req.ID}, start)
+	r.ev = trace.Event{Op: trace.OpIsend, Size: size, Peer: dest, Tag: tag, ReqID: req.ID}
+	r.emit(start)
 	return req
 }
 
@@ -172,9 +181,9 @@ func (r *Rank) Irecv(src, size, tag int) *Request {
 		wildcard: src == trace.AnySource}
 	r.nextReq++
 	r.pending = append(r.pending, req)
-	e := &trace.Event{Op: trace.OpIrecv, Size: size, Peer: src, Tag: tag, ReqID: req.ID,
+	r.ev = trace.Event{Op: trace.OpIrecv, Size: size, Peer: src, Tag: tag, ReqID: req.ID,
 		Wildcard: req.wildcard}
-	r.emit(e, start)
+	r.emit(start)
 	return req
 }
 
@@ -215,55 +224,58 @@ func (r *Rank) tryComplete(req *Request) bool {
 	return false
 }
 
-// removePending drops completed requests from the pending list.
-func (r *Rank) removePending(done map[*Request]bool) {
-	kept := r.pending[:0]
-	for _, q := range r.pending {
-		if !done[q] {
-			kept = append(kept, q)
-		}
+// removePending drops req from the pending list, keeping the order of the
+// rest.
+func (r *Rank) removePending(req *Request) {
+	if i := slices.Index(r.pending, req); i >= 0 {
+		r.pending = slices.Delete(r.pending, i, i+1)
 	}
-	for i := len(kept); i < len(r.pending); i++ {
-		r.pending[i] = nil
-	}
-	r.pending = kept
 }
 
-// completionEvent builds the Reqs/ReqSrcs lists for a completion operation.
-func completionEvent(op trace.Op, reqs []*Request) *trace.Event {
-	e := &trace.Event{Op: op, Peer: trace.NoPeer, ReqID: -1}
+// completion fills r.ev with the event of a completion operation over
+// reqs. Its Reqs/ReqSrcs lists are allocated fresh at their final size: the
+// sink may keep them.
+func (r *Rank) completion(op trace.Op, reqs []*Request) {
+	r.ev = trace.Event{Op: op, Peer: trace.NoPeer, ReqID: -1}
+	if len(reqs) == 0 {
+		return
+	}
+	e := &r.ev
+	e.Reqs = make([]int32, len(reqs))
 	hasRecv := false
-	for _, q := range reqs {
-		e.Reqs = append(e.Reqs, q.ID)
+	for i, q := range reqs {
+		e.Reqs[i] = q.ID
 		if !q.isSend {
 			hasRecv = true
 		}
 	}
 	if hasRecv {
-		for _, q := range reqs {
-			e.ReqSrcs = append(e.ReqSrcs, int32(q.matched))
+		e.ReqSrcs = make([]int32, len(reqs))
+		for i, q := range reqs {
+			e.ReqSrcs[i] = int32(q.matched)
 		}
 	}
-	return e
 }
 
 // Wait blocks until req completes.
 func (r *Rank) Wait(req *Request) {
 	start := r.nowNS
 	r.complete(req)
-	r.removePending(map[*Request]bool{req: true})
-	r.emit(completionEvent(trace.OpWait, []*Request{req}), start)
+	r.removePending(req)
+	r.completion(trace.OpWait, []*Request{req})
+	r.emit(start)
 }
 
 // Waitall blocks until every pending request completes, in posted order.
 func (r *Rank) Waitall() {
 	start := r.nowNS
-	reqs := append([]*Request(nil), r.pending...)
-	for _, q := range reqs {
+	for _, q := range r.pending {
 		r.complete(q)
 	}
+	r.completion(trace.OpWaitall, r.pending)
+	clear(r.pending)
 	r.pending = r.pending[:0]
-	r.emit(completionEvent(trace.OpWaitall, reqs), start)
+	r.emit(start)
 }
 
 // Waitsome blocks until at least one pending request completes, then also
@@ -272,26 +284,29 @@ func (r *Rank) Waitall() {
 func (r *Rank) Waitsome() int {
 	start := r.nowNS
 	if len(r.pending) == 0 {
-		r.emit(completionEvent(trace.OpWaitsome, nil), start)
+		r.completion(trace.OpWaitsome, nil)
+		r.emit(start)
 		return 0
 	}
-	var doneReqs []*Request
 	// Block on the first pending request, then sweep the rest.
 	first := r.pending[0]
 	r.complete(first)
-	doneReqs = append(doneReqs, first)
+	reaped := append(r.reaped[:0], first)
 	for _, q := range r.pending[1:] {
 		if r.tryComplete(q) {
-			doneReqs = append(doneReqs, q)
+			reaped = append(reaped, q)
 		}
 	}
-	doneSet := map[*Request]bool{}
-	for _, q := range doneReqs {
-		doneSet[q] = true
-	}
-	r.removePending(doneSet)
-	r.emit(completionEvent(trace.OpWaitsome, doneReqs), start)
-	return len(doneReqs)
+	// The done requests in pending are exactly the reaped ones: a receive
+	// is done only once reaped, and tryComplete reaps every send, which is
+	// done from the start.
+	r.pending = slices.DeleteFunc(r.pending, func(q *Request) bool { return q.done })
+	r.completion(trace.OpWaitsome, reaped)
+	n := len(reaped)
+	clear(reaped)
+	r.reaped = reaped[:0]
+	r.emit(start)
+	return n
 }
 
 // Testany attempts to complete at most one pending request without blocking.
@@ -300,12 +315,14 @@ func (r *Rank) Testany() int {
 	start := r.nowNS
 	for _, q := range r.pending {
 		if r.tryComplete(q) {
-			r.removePending(map[*Request]bool{q: true})
-			r.emit(completionEvent(trace.OpTestany, []*Request{q}), start)
+			r.removePending(q)
+			r.completion(trace.OpTestany, []*Request{q})
+			r.emit(start)
 			return 1
 		}
 	}
-	r.emit(completionEvent(trace.OpTestany, nil), start)
+	r.completion(trace.OpTestany, nil)
+	r.emit(start)
 	return 0
 }
 
@@ -316,7 +333,8 @@ func (r *Rank) PendingCount() int { return len(r.pending) }
 // Init emits the MPI_Init event.
 func (r *Rank) Init() {
 	start := r.nowNS
-	r.emit(&trace.Event{Op: trace.OpInit, Peer: trace.NoPeer, ReqID: -1}, start)
+	r.ev = trace.Event{Op: trace.OpInit, Peer: trace.NoPeer, ReqID: -1}
+	r.emit(start)
 }
 
 // Finalize synchronizes all ranks (real MPI_Finalize is collective in
@@ -327,6 +345,7 @@ func (r *Rank) Finalize() {
 	}
 	start := r.nowNS
 	r.collective(trace.OpFinalize, 0, 0)
-	r.emit(&trace.Event{Op: trace.OpFinalize, Peer: trace.NoPeer, ReqID: -1}, start)
+	r.ev = trace.Event{Op: trace.OpFinalize, Peer: trace.NoPeer, ReqID: -1}
+	r.emit(start)
 	r.sink.Finalize()
 }

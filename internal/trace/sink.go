@@ -29,6 +29,10 @@ type Sink interface {
 	// this marker carries it to the compressor so the event can be filled
 	// into the right CST leaf.
 	CommSite(site int32)
+	// Event observes one MPI call. e is valid only during the call: the
+	// runtime reuses the struct for the next event, so a sink that keeps
+	// an event copies the struct. The Reqs/ReqSrcs lists are owned by this
+	// event and never reused, so a kept copy may share them.
 	Event(e *Event)
 	Finalize()
 }
