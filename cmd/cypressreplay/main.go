@@ -14,11 +14,11 @@
 // -stream routes every mode through the streaming replayer (resolved views +
 // shared replay skeletons, no full per-rank materialization); -par N bounds
 // every parallel phase (0 = GOMAXPROCS): the CYPB inflate pipeline of the
-// trace decode, the rank fan-out of the -stream replay modes, skeleton
-// preparation, and the epoch-parallel LogGP simulation behind -predict (with
-// or without -stream). The printed output and the predicted times are
-// identical at every -par value. Trace files in any container — raw CYPR,
-// gzip, or the CYPB block container — are sniffed automatically.
+// trace decode, the rank fan-out of the -stream replay modes, and skeleton
+// preparation for -predict -stream. The LogGP simulation itself is one
+// sequential sweep. The printed output and the predicted times are identical
+// at every -par value. Trace files in any container — raw CYPR, gzip, or the
+// CYPB block container — are sniffed automatically.
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 	matrix := flag.Bool("matrix", false, "print the communication volume matrix")
 	predict := flag.Bool("predict", false, "run the LogGP performance prediction")
 	stream := flag.Bool("stream", false, "use the streaming replayer (shared skeletons, no materialization)")
-	par := flag.Int("par", 1, "worker bound for every parallel phase (0 = GOMAXPROCS): CYPB inflate pipelining, -stream rank fan-out, skeleton preparation, and the -predict LogGP simulation; results are identical at every value")
+	par := flag.Int("par", 1, "worker bound for every parallel phase (0 = GOMAXPROCS): CYPB inflate pipelining, -stream rank fan-out, and -predict -stream skeleton preparation; results are identical at every value")
 	limit := flag.Int("limit", 50, "max events to print per rank (0 = all)")
 	stats := flag.Bool("stats", false, "print the pipeline observability report to stderr at exit")
 	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
@@ -242,8 +242,8 @@ func commMatrix(m *merge.Merged, stream bool, par int) ([][]int64, error) {
 
 // predictRun feeds the decompressed traces to the LogGP simulator, either by
 // materializing every rank (legacy) or by streaming pull cursors over shared
-// skeletons prepared in parallel. par bounds both skeleton preparation and
-// the simulator's worker pool; the prediction is identical at every value.
+// skeletons prepared in parallel. par bounds skeleton preparation; the
+// prediction is identical at every value.
 func predictRun(m *merge.Merged, stream bool, par int) (simmpi.Result, error) {
 	if stream {
 		s := merge.NewStreamer(m)
@@ -258,7 +258,7 @@ func predictRun(m *merge.Merged, stream bool, par int) (simmpi.Result, error) {
 			}
 			srcs[rank] = cur
 		}
-		return simmpi.SimulateStreamPar(srcs, mpisim.DefaultParams(), par)
+		return simmpi.SimulateStream(srcs, mpisim.DefaultParams())
 	}
 	seqs := make([][]trace.Event, m.NumRanks)
 	for r := range seqs {
@@ -268,7 +268,7 @@ func predictRun(m *merge.Merged, stream bool, par int) (simmpi.Result, error) {
 		}
 		seqs[r] = seq
 	}
-	return simmpi.SimulatePar(seqs, mpisim.DefaultParams(), par)
+	return simmpi.Simulate(seqs, mpisim.DefaultParams())
 }
 
 // writeTraceFile exports the flight recorder as Chrome trace-event JSON.

@@ -208,24 +208,16 @@ func (r *Result) ReplayEvents(rank int, emit func(e *trace.Event)) error {
 }
 
 // Predict decompresses every rank and runs the LogGP trace-driven simulator,
-// returning the predicted job performance (paper Figure 14's pipeline). It is
-// PredictPar with the default worker count (GOMAXPROCS); the result does not
-// depend on the worker count.
+// returning the predicted job performance (paper Figure 14's pipeline).
+// Replay skeletons are prepared in parallel (GOMAXPROCS workers), then rank
+// sequences are fed to the simulator as pull iterators over the shared
+// skeletons, so peak memory is O(classes · events-per-rank) instead of
+// O(ranks · events-per-rank). The result is identical to simulating fully
+// materialized sequences. A point-to-point event whose peer lies outside
+// [0, ranks) is an error.
 func (r *Result) Predict() (simmpi.Result, error) {
-	return r.PredictPar(0)
-}
-
-// PredictPar is Predict with an explicit worker bound covering both parallel
-// phases (workers <= 0 uses GOMAXPROCS): skeleton preparation and the
-// epoch-parallel LogGP simulation itself. Rank sequences are fed to the
-// simulator as pull iterators over shared replay skeletons, so peak memory is
-// O(classes · events-per-rank) instead of O(ranks · events-per-rank), and the
-// simulator advances ranks concurrently inside conservative lookahead
-// windows. The result is bit-identical at every worker count and identical
-// to simulating materialized sequences.
-func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 	s := r.Streamer()
-	if err := s.Prepare(workers); err != nil {
+	if err := s.Prepare(0); err != nil {
 		return simmpi.Result{}, err
 	}
 	srcs := make([]simmpi.EventSource, s.NumRanks())
@@ -236,23 +228,7 @@ func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 		}
 		srcs[rank] = cur
 	}
-	return simmpi.SimulateStreamPar(srcs, r.params, workers)
-}
-
-// PredictMaterialized is the pre-streaming reference implementation of
-// Predict: decompress every rank into a full []trace.Event, then simulate.
-// Kept for verification and benchmarking against the streaming path; both
-// must produce identical results.
-func (r *Result) PredictMaterialized() (simmpi.Result, error) {
-	seqs := make([][]trace.Event, r.Merged.NumRanks)
-	for rank := range seqs {
-		seq, err := replay.Sequence(r.Merged.ForRank(rank), rank)
-		if err != nil {
-			return simmpi.Result{}, err
-		}
-		seqs[rank] = seq
-	}
-	return simmpi.Simulate(seqs, r.params)
+	return simmpi.SimulateStream(srcs, r.params)
 }
 
 // WriteTrace serializes the merged compressed trace; gzip additionally
@@ -315,19 +291,14 @@ func ReadTraceProjected(data []byte, workers int, ranks ...int) (*merge.Merged, 
 
 // CommMatrix accumulates the communication volume matrix (bytes sent from
 // row to column) from the decompressed trace — the analysis behind the
-// paper's Figures 17 and 20. It is CommMatrixPar with the default worker
-// count. A send event whose peer lies outside [0, ranks) is an error, not a
-// silently dropped sample: replayed sends always carry a concrete peer, so an
-// out-of-range peer means the trace and the rank count disagree.
+// paper's Figures 17 and 20. Ranks are replayed concurrently (GOMAXPROCS
+// workers), each accumulating into its own matrix row in-flight — nothing is
+// materialized and no locking is needed, because events of one rank arrive
+// in order on a single goroutine. A send event whose peer lies outside
+// [0, ranks) is an error, not a silently dropped sample: replayed sends
+// always carry a concrete peer, so an out-of-range peer means the trace and
+// the rank count disagree.
 func (r *Result) CommMatrix() ([][]int64, error) {
-	return r.CommMatrixPar(0)
-}
-
-// CommMatrixPar is CommMatrix with an explicit worker bound (workers <= 0
-// uses GOMAXPROCS). Ranks are replayed concurrently, each accumulating into
-// its own matrix row in-flight — nothing is materialized and no locking is
-// needed, because events of one rank arrive in order on a single goroutine.
-func (r *Result) CommMatrixPar(workers int) ([][]int64, error) {
 	s := r.Streamer()
 	n := s.NumRanks()
 	mat := make([][]int64, n)
@@ -335,7 +306,7 @@ func (r *Result) CommMatrixPar(workers int) ([][]int64, error) {
 		mat[i] = make([]int64, n)
 	}
 	peerErrs := make([]error, n) // one slot per rank: written only by its lane
-	err := s.ReplayAll(workers, func(rank int, e *trace.Event) {
+	err := s.ReplayAll(0, func(rank int, e *trace.Event) {
 		if !e.Op.IsSendLike() {
 			return
 		}
@@ -353,35 +324,6 @@ func (r *Result) CommMatrixPar(workers int) ([][]int64, error) {
 	for _, perr := range peerErrs {
 		if perr != nil {
 			return nil, perr
-		}
-	}
-	return mat, nil
-}
-
-// CommMatrixMaterialized is the pre-streaming reference implementation:
-// serial, one fully materialized sequence per rank. Kept for verification and
-// benchmarking against the streaming path; it applies the same out-of-range
-// peer check, and both must produce identical matrices.
-func (r *Result) CommMatrixMaterialized() ([][]int64, error) {
-	n := r.Merged.NumRanks
-	mat := make([][]int64, n)
-	for i := range mat {
-		mat[i] = make([]int64, n)
-	}
-	for rank := 0; rank < n; rank++ {
-		seq, err := replay.Sequence(r.Merged.ForRank(rank), rank)
-		if err != nil {
-			return nil, err
-		}
-		for i := range seq {
-			e := &seq[i]
-			if !e.Op.IsSendLike() {
-				continue
-			}
-			if e.Peer < 0 || e.Peer >= n {
-				return nil, commPeerError(rank, e, n)
-			}
-			mat[rank][e.Peer] += int64(e.Size)
 		}
 	}
 	return mat, nil
@@ -411,7 +353,7 @@ func EnableObs(s *obs.Sink) {
 // EnableTrace installs r as the process-wide flight recorder of every
 // pipeline layer: compressor finishes and wildcard resolutions, merge pairs,
 // codec encode/decode, blockio frame workers, corpus ingest/get, replay
-// skeleton/memo events, and simulator windows. Passing nil disables
+// skeleton/memo events, and simulator sweeps. Passing nil disables
 // recording everywhere. Call at startup, before the pipeline runs — the
 // recorders are plain package variables, read without synchronization. Export
 // the capture afterwards with r.WriteChromeJSON (Perfetto) or r.WriteText.

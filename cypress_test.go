@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/replay"
+	"repro/internal/simmpi"
 	"repro/internal/trace"
 )
 
@@ -225,10 +226,53 @@ func main() {
 	allreduce(8);
 }`
 
+// predictMaterialized is the pre-streaming reference implementation of
+// Result.Predict: decompress every rank into a full []trace.Event, then
+// simulate. Both must produce identical results.
+func predictMaterialized(r *Result) (simmpi.Result, error) {
+	seqs := make([][]trace.Event, r.Merged.NumRanks)
+	for rank := range seqs {
+		seq, err := replay.Sequence(r.Merged.ForRank(rank), rank)
+		if err != nil {
+			return simmpi.Result{}, err
+		}
+		seqs[rank] = seq
+	}
+	return simmpi.Simulate(seqs, r.params)
+}
+
+// commMatrixMaterialized is the pre-streaming reference implementation of
+// Result.CommMatrix: serial, one fully materialized sequence per rank, with
+// the same out-of-range peer check. Both must produce identical matrices.
+func commMatrixMaterialized(r *Result) ([][]int64, error) {
+	n := r.Merged.NumRanks
+	mat := make([][]int64, n)
+	for i := range mat {
+		mat[i] = make([]int64, n)
+	}
+	for rank := 0; rank < n; rank++ {
+		seq, err := replay.Sequence(r.Merged.ForRank(rank), rank)
+		if err != nil {
+			return nil, err
+		}
+		for i := range seq {
+			e := &seq[i]
+			if !e.Op.IsSendLike() {
+				continue
+			}
+			if e.Peer < 0 || e.Peer >= n {
+				return nil, commPeerError(rank, e, n)
+			}
+			mat[rank][e.Peer] += int64(e.Size)
+		}
+	}
+	return mat, nil
+}
+
 // TestStreamingMatchesMaterialized pins the tentpole guarantee end to end:
 // the streaming Replay/Predict/CommMatrix paths produce exactly what the
-// pre-streaming materializing implementations produce, at 7 and 64 ranks,
-// for both the open-chain jacobi and the wraparound ring.
+// pre-streaming materializing oracles above produce, at 7 and 64 ranks, for
+// both the open-chain jacobi and the wraparound ring.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -269,7 +313,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 					t.Fatalf("rank %d: ReplayEvents emitted %d events, want %d", rank, streamed, len(want))
 				}
 			}
-			wantPred, err := res.PredictMaterialized()
+			wantPred, err := predictMaterialized(res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,28 +324,16 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			if !reflect.DeepEqual(wantPred, gotPred) {
 				t.Fatalf("streaming Predict differs from materialized:\n got %+v\nwant %+v", gotPred, wantPred)
 			}
-			for _, workers := range []int{1, 2, 4, 0} {
-				parPred, err := res.PredictPar(workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantPred, parPred) {
-					t.Fatalf("PredictPar(%d) differs from materialized:\n got %+v\nwant %+v",
-						workers, parPred, wantPred)
-				}
-			}
-			wantMat, err := res.CommMatrixMaterialized()
+			wantMat, err := commMatrixMaterialized(res)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4, 0} {
-				gotMat, err := res.CommMatrixPar(workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantMat, gotMat) {
-					t.Fatalf("workers=%d: streaming CommMatrix differs from materialized", workers)
-				}
+			gotMat, err := res.CommMatrix()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantMat, gotMat) {
+				t.Fatal("streaming CommMatrix differs from materialized")
 			}
 		})
 	}
@@ -311,7 +343,8 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // whose replayed peer lies outside [0, ranks): both the streaming and the
 // materialized matrix return an error instead of silently dropping the
 // volume (the pre-fix implementation skipped such events, understating the
-// matrix whenever the trace and the rank count disagreed).
+// matrix whenever the trace and the rank count disagreed), and Predict
+// returns an error instead of panicking in the simulator.
 func TestCommMatrixBadPeerSurfaced(t *testing.T) {
 	p, err := Compile(ringExchange)
 	if err != nil {
@@ -332,10 +365,16 @@ func TestCommMatrixBadPeerSurfaced(t *testing.T) {
 	} else if !wantErr.MatchString(err.Error()) {
 		t.Errorf("streaming CommMatrix error %q does not match %v", err, wantErr)
 	}
-	if _, err := res.CommMatrixMaterialized(); err == nil {
+	if _, err := commMatrixMaterialized(res); err == nil {
 		t.Error("materialized CommMatrix: out-of-range peer not surfaced")
 	} else if !wantErr.MatchString(err.Error()) {
 		t.Errorf("materialized CommMatrix error %q does not match %v", err, wantErr)
+	}
+	wantSimErr := regexp.MustCompile(`simmpi: rank \d+ \S+ at gid \d+ to peer -?\d+ outside \[0,3\)`)
+	if _, err := res.Predict(); err == nil {
+		t.Error("Predict: out-of-range peer not surfaced")
+	} else if !wantSimErr.MatchString(err.Error()) {
+		t.Errorf("Predict error %q does not match %v", err, wantSimErr)
 	}
 	// An intact trace still computes (and the two paths agree: covered by
 	// TestStreamingMatchesMaterialized).

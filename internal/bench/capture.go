@@ -38,13 +38,12 @@ func EnableTrace(r *ftrace.Recorder) {
 const (
 	captureEncWorkers = 4
 	captureDecWorkers = 2
-	captureSimWorkers = 4
 	captureFrameSize  = 1 << 12 // small frames so several flow through every worker
 )
 
 // TracedPipeline runs one full pipeline pass — compress, merge, blocked
 // container encode/decode (parallel frame workers), corpus ingest/get,
-// streaming replay, parallel LogGP simulation — with r recording, and
+// streaming replay, LogGP simulation — with r recording, and
 // detaches the recorder before returning. The pass mirrors observePipeline;
 // it is deliberately its traced twin so the timeline corresponds to the
 // counters the obs report shows.
@@ -80,7 +79,7 @@ func TracedPipeline(r *ftrace.Recorder) error {
 	if err := tracedCorpus(); err != nil {
 		return err
 	}
-	// Replay skeletons + parallel simulation windows.
+	// Replay skeletons + simulation sweeps.
 	st := merge.NewStreamer(m)
 	if err := st.Prepare(0); err != nil {
 		return err
@@ -93,7 +92,7 @@ func TracedPipeline(r *ftrace.Recorder) error {
 		}
 		srcs[rk] = cur
 	}
-	_, err = simmpi.SimulateStreamPar(srcs, mpisim.DefaultParams(), captureSimWorkers)
+	_, err = simmpi.SimulateStream(srcs, mpisim.DefaultParams())
 	return err
 }
 

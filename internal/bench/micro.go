@@ -575,11 +575,7 @@ func Micros() []Micro {
 		{"ReplayRankWalk", BenchReplayRankWalk},
 		{"Predict256", BenchPredict256},
 		{"Predict1024", BenchPredict1024},
-		{"Predict1024W2", BenchPredict1024W2},
-		{"Predict1024W4", BenchPredict1024W4},
 		{"Simulate1024W1", BenchSimulate1024W1},
-		{"Simulate1024W2", BenchSimulate1024W2},
-		{"Simulate1024W4", BenchSimulate1024W4},
 		{"PredictMaterialized256", BenchPredictMaterialized256},
 		{"PredictMaterialized1024", BenchPredictMaterialized1024},
 		{"CommMatrix1024", BenchCommMatrix1024},

@@ -146,9 +146,7 @@ func perRankEvents(m *merge.Merged) float64 {
 // benchPredict measures the full streaming prediction pipeline per op:
 // skeleton preparation (parallel), one pull cursor per rank, and the LogGP
 // simulation — end to end from the merged tree, nothing materialized.
-// workers bounds the simulation's worker pool; the prediction is identical
-// at every value.
-func benchPredict(b *testing.B, n, workers int) {
+func benchPredict(b *testing.B, n int) {
 	m := mergedRing(b, n, 24)
 	params := mpisim.DefaultParams()
 	b.ReportAllocs()
@@ -166,7 +164,7 @@ func benchPredict(b *testing.B, n, workers int) {
 			}
 			srcs[rank] = cur
 		}
-		if _, err := simmpi.SimulateStreamPar(srcs, params, workers); err != nil {
+		if _, err := simmpi.SimulateStream(srcs, params); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,25 +172,16 @@ func benchPredict(b *testing.B, n, workers int) {
 }
 
 // BenchPredict256 predicts a 256-rank ring from the merged trace.
-func BenchPredict256(b *testing.B) { benchPredict(b, 256, 1) }
+func BenchPredict256(b *testing.B) { benchPredict(b, 256) }
 
 // BenchPredict1024 predicts a 1024-rank ring from the merged trace (the PR 3
-// acceptance benchmark; workers=1 keeps it comparable across PRs).
-func BenchPredict1024(b *testing.B) { benchPredict(b, 1024, 1) }
-
-// BenchPredict1024W2 is BenchPredict1024 with the simulation epoch-parallel
-// across 2 workers.
-func BenchPredict1024W2(b *testing.B) { benchPredict(b, 1024, 2) }
-
-// BenchPredict1024W4 is BenchPredict1024 with the simulation epoch-parallel
-// across 4 workers.
-func BenchPredict1024W4(b *testing.B) { benchPredict(b, 1024, 4) }
+// acceptance benchmark).
+func BenchPredict1024(b *testing.B) { benchPredict(b, 1024) }
 
 // benchSimulate isolates the LogGP engine from skeleton preparation: cursors
 // are prepared once and rewound every op, so the measured loop is purely the
-// simulator's event processing, matching, and (for workers > 1) window
-// scheduling.
-func benchSimulate(b *testing.B, n, workers int) {
+// simulator's event processing and matching.
+func benchSimulate(b *testing.B, n int) {
 	m := mergedRing(b, n, 24)
 	s := merge.NewStreamer(m)
 	if err := s.Prepare(0); err != nil {
@@ -215,24 +204,16 @@ func benchSimulate(b *testing.B, n, workers int) {
 		for _, c := range curs {
 			c.Rewind()
 		}
-		if _, err := simmpi.SimulateStreamPar(srcs, params, workers); err != nil {
+		if _, err := simmpi.SimulateStream(srcs, params); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n), "ranks/op")
 }
 
-// BenchSimulate1024W1 runs the engine-only 1024-rank simulation on the
-// sequential driver.
-func BenchSimulate1024W1(b *testing.B) { benchSimulate(b, 1024, 1) }
-
-// BenchSimulate1024W2 runs the engine-only 1024-rank simulation epoch-
-// parallel across 2 workers.
-func BenchSimulate1024W2(b *testing.B) { benchSimulate(b, 1024, 2) }
-
-// BenchSimulate1024W4 runs the engine-only 1024-rank simulation epoch-
-// parallel across 4 workers.
-func BenchSimulate1024W4(b *testing.B) { benchSimulate(b, 1024, 4) }
+// BenchSimulate1024W1 runs the engine-only 1024-rank simulation (the name
+// keeps the W1 suffix of its recorded baselines).
+func BenchSimulate1024W1(b *testing.B) { benchSimulate(b, 1024) }
 
 // benchPredictMaterialized is the pre-streaming reference pipeline:
 // decompress all n ranks into full event slices through the rankView walk,

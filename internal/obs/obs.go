@@ -94,8 +94,8 @@ const (
 	ReplayEventsEmitted  // events synthesized by replay paths
 	SimEventsProcessed   // events consumed by the LogGP engine
 	SimBlockedCopies     // blocked events copied into rank-local buffers
-	SimWindows           // lookahead windows (sequential sweeps count too)
-	SimBarrierStalls     // rank visits that reached the window barrier with no progress
+	SimWindows           // simulation sweeps over the ranks
+	SimBarrierStalls     // live-rank visits in a sweep that made no progress
 	SimMatchDepthPeak    // peak per-key match-table depth (gauge)
 
 	// Content-addressed corpus (internal/corpus).
@@ -217,8 +217,7 @@ const (
 	HistReqOccupancy    Hist = iota // live requests at each non-blocking post
 	HistWildcardDepth               // cached wildcard events at each cache insert
 	HistSimQueueDepth               // in-flight message queue depth at each send
-	HistSimWindowEvents             // events processed per lookahead window
-	HistSimWindowNS                 // wall time per lookahead window
+	HistSimWindowEvents             // events processed per simulation sweep
 	HistIOFrameBytes                // compressed bytes per CYPB frame
 	HistIOCompressNS                // wall time deflating one frame
 	HistIOInflateNS                 // wall time inflating one frame
@@ -244,7 +243,6 @@ var histNames = [NumHists]string{
 	HistWildcardDepth:       "wildcard_cache_depth",
 	HistSimQueueDepth:       "sim_queue_depth",
 	HistSimWindowEvents:     "sim_window_events",
-	HistSimWindowNS:         "sim_window_ns",
 	HistIOFrameBytes:        "io_frame_bytes",
 	HistIOCompressNS:        "io_compress_ns",
 	HistIOInflateNS:         "io_inflate_ns",

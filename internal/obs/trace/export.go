@@ -13,7 +13,7 @@ import (
 // (ph "X", microsecond ts/dur with sub-microsecond fractions preserved),
 // instants are thread-scoped ph "i". Each Cat becomes one pid with a
 // process_name metadata record; each lane becomes a tid with a thread_name,
-// so parallel stages (blockio frame workers, simulator engine workers)
+// so parallel stages (blockio frame workers, merge reduction depths)
 // render as real swimlanes.
 //
 // The header's otherData block makes silent truncation visible: it carries

@@ -3,7 +3,8 @@ package trace_test
 // Fixture capture test: run the traced 64-rank pipeline pass that backs
 // `cypressbench -trace` and assert the capture the CI job ships to Perfetto
 // is complete and structurally rich — every stage category present, real
-// per-worker swimlanes for the parallel stages, zero drops, and a clean
+// per-worker swimlanes for the parallel stages, one simulator lane, zero
+// drops, and a clean
 // export → parse → validate round-trip. This is the in-process twin of the
 // CI fixture job's CLI-level check (cypressstat -timeline -check).
 
@@ -58,16 +59,27 @@ func TestTracedPipelineFixtureCapture(t *testing.T) {
 	}
 
 	// Parallel stages must show real per-worker swimlanes, not one collapsed
-	// lane. The pipeline pins 4 enc / 2 dec / 4 sim workers and frames small
-	// enough that several flow through each.
+	// lane. The pipeline pins 4 enc / 2 dec workers and frames small enough
+	// that several flow through each.
 	if lanes := c.Lanes("blockio.enc"); len(lanes) < 2 {
 		t.Errorf("blockio.enc has lanes %v, want >= 2 worker lanes", lanes)
 	}
 	if lanes := c.Lanes("blockio.dec"); len(lanes) < 2 {
 		t.Errorf("blockio.dec has lanes %v, want >= 2 worker lanes", lanes)
 	}
-	if lanes := c.Lanes("sim"); len(lanes) < 2 {
-		t.Errorf("sim has lanes %v, want >= 2 worker lanes", lanes)
+	// The simulator is one sequential sweep: exactly one sim lane, carrying
+	// one window span per sweep.
+	if lanes := c.Lanes("sim"); len(lanes) != 1 {
+		t.Errorf("sim has lanes %v, want exactly one", lanes)
+	}
+	windows := 0
+	for _, e := range c.Events {
+		if e.Cat == "sim" && e.Name == "window" && e.Ph == "X" {
+			windows++
+		}
+	}
+	if windows == 0 {
+		t.Error("sim lane carries no window spans")
 	}
 
 	// Every lane of every category must carry thread_name metadata so

@@ -7,48 +7,35 @@ import (
 )
 
 // TestSimulateAllocsSteadyState pins the engine's allocation shape: all
-// allocation happens at setup (ranks, shards, worker pool) or scales with
-// peak state (match-queue capacity, collective groups), and the steady-state
-// window loop allocates nothing. The fixture is the chain halo exchange: its
+// allocation happens at setup (ranks, match tables) or scales with peak
+// state (match-queue capacity, collective groups), and the steady-state
+// sweep loop allocates nothing. The fixture is the chain halo exchange: its
 // per-iteration waitall keeps neighbor drift — and with it match-queue
-// depth — bounded by a constant, so 10x more iterations must leave
-// allocs/run essentially unchanged, at workers=1 (the sequential driver)
-// and workers=4 (the epoch-parallel driver) alike.
+// depth — bounded by a constant, so more iterations must leave allocs/run
+// essentially unchanged.
 func TestSimulateAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	params := mpisim.DefaultParams()
-	measure := func(workers, iters int) float64 {
+	measure := func(iters int) float64 {
 		seqs := chainTrace(64, iters)
 		return testing.AllocsPerRun(5, func() {
-			if _, err := SimulatePar(seqs, params, workers); err != nil {
+			if _, err := Simulate(seqs, params); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	var seqWarm float64
-	for _, w := range []int{1, 4} {
-		// 80 iterations is past the warm-up knee (queue buffers and scratch
-		// at full capacity); from there, 4x more work may only move the
-		// count by the measurement floor (a few GC-cycle allocations), and
-		// the absolute ceiling rules out even 0.05 allocs/event across the
-		// run's ~100k events.
-		warm := measure(w, 80)
-		long := measure(w, 320)
-		if long > warm+64 {
-			t.Errorf("workers=%d: 4x work moved allocs/run from %.0f to %.0f; window loop is allocating",
-				w, warm, long)
-		}
-		if long > 2048 {
-			t.Errorf("workers=%d: allocs/run %.0f exceeds budget 2048", w, long)
-		}
-		if w == 1 {
-			seqWarm = warm
-		} else if warm > seqWarm+128 {
-			// The parallel driver's overhead over the sequential one
-			// (goroutines, barrier, active list) is a small constant.
-			t.Errorf("parallel driver allocates %.0f/run vs sequential %.0f", warm, seqWarm)
-		}
+	// 80 iterations is past the warm-up knee (queue buffers and scratch at
+	// full capacity); from there, 4x more work may only move the count by
+	// the measurement floor (a few GC-cycle allocations), and the absolute
+	// ceiling rules out even 0.05 allocs/event across the run's ~100k events.
+	warm := measure(80)
+	long := measure(320)
+	if long > warm+64 {
+		t.Errorf("4x work moved allocs/run from %.0f to %.0f; sweep loop is allocating", warm, long)
+	}
+	if long > 2048 {
+		t.Errorf("allocs/run %.0f exceeds budget 2048", long)
 	}
 }

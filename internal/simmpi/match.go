@@ -1,12 +1,10 @@
 package simmpi
 
-import "sync"
-
-// matchKey identifies one point-to-point match chain inside a destination
-// shard: messages from one source rank carrying one tag. The destination is
-// implicit in the shard index, so the per-map key is one int narrower than
-// the historical global queueMap's (src, dst, tag) key and every destination
-// hashes over a map holding only its own senders.
+// matchKey identifies one point-to-point match chain inside a destination's
+// match table: messages from one source rank carrying one tag. The
+// destination is implicit in the table index, so the per-map key is one int
+// narrower than the historical global queueMap's (src, dst, tag) key and
+// every destination hashes over a map holding only its own senders.
 type matchKey struct {
 	src, tag int
 }
@@ -44,24 +42,17 @@ func (q *msgQueue) pop() float64 {
 	return t
 }
 
-// matchShard is one destination rank's match table: (source, tag)-keyed FIFO
-// queues of in-flight arrival times. A shard is written by every rank that
-// sends to the destination and drained only by the destination itself, so
-// the i-th push on a key always pairs with the i-th pop regardless of the
-// schedule that interleaved them — the property the parallel engine's
-// determinism rests on. The engine serializes shard access with mu only when
-// it runs more than one worker; the sequential path calls the same methods
-// lock-free. The trailing pad keeps adjacent shards in the engine's slice
-// off each other's cache line.
-type matchShard struct {
-	mu sync.Mutex
-	q  map[matchKey]*msgQueue
-	_  [64 - 16]byte
+// matchTable is one destination rank's match table: (source, tag)-keyed
+// FIFO queues of in-flight arrival times. Every rank that sends to the
+// destination pushes, only the destination pops, so the i-th push on a key
+// pairs with the i-th pop — MPI's non-overtaking order.
+type matchTable struct {
+	q map[matchKey]*msgQueue
 }
 
 // push appends an arrival time to k's FIFO and returns the depth after the
 // push (for the queue-depth histogram).
-func (s *matchShard) push(k matchKey, t float64) int {
+func (s *matchTable) push(k matchKey, t float64) int {
 	q := s.q[k]
 	if q == nil {
 		q = &msgQueue{}
@@ -72,7 +63,7 @@ func (s *matchShard) push(k matchKey, t float64) int {
 }
 
 // depth returns the number of queued arrivals for k.
-func (s *matchShard) depth(k matchKey) int {
+func (s *matchTable) depth(k matchKey) int {
 	if q := s.q[k]; q != nil {
 		return q.len()
 	}
@@ -80,7 +71,7 @@ func (s *matchShard) depth(k matchKey) int {
 }
 
 // tryPop removes and returns the head arrival for k, if one is queued.
-func (s *matchShard) tryPop(k matchKey) (float64, bool) {
+func (s *matchTable) tryPop(k matchKey) (float64, bool) {
 	q := s.q[k]
 	if q == nil || q.len() == 0 {
 		return 0, false
@@ -89,6 +80,6 @@ func (s *matchShard) tryPop(k matchKey) (float64, bool) {
 }
 
 // pop removes and returns the head arrival for k, which must be non-empty.
-func (s *matchShard) pop(k matchKey) float64 {
+func (s *matchTable) pop(k matchKey) float64 {
 	return s.q[k].pop()
 }

@@ -3,23 +3,20 @@
 // CYPRESS traces (communication sequence + per-record sequential computation
 // time) plus network parameters yield a predicted execution time.
 //
-// The simulator is a conservative discrete-event engine: each rank advances a
-// local clock through its event sequence; point-to-point completions couple
-// to the matching sender's injection time plus latency, and collectives
-// synchronize all ranks with the binomial-tree cost model shared with the
-// mpisim runtime. Point-to-point matches resolve through per-destination
-// match-table shards keyed by (source, tag), and one engine serves both
-// drivers: the sequential sweep (workers = 1) and the epoch-parallel
-// lookahead-window driver in engine.go (workers > 1). Results are
-// bit-identical at every worker count — see DESIGN.md "Parallel simulation"
-// for the determinism argument.
+// The simulator is a discrete-event engine driven by one sequential sweep:
+// each rank advances a local clock through its event sequence until it
+// blocks, and sweeps repeat until every rank drains or a sweep makes no
+// progress (a stall). Point-to-point completions couple to the matching
+// sender's injection time plus latency through per-destination match tables
+// keyed by (source, tag), and collectives synchronize all ranks with the
+// binomial-tree cost model shared with the mpisim runtime. Simulate and
+// SimulateStream share the engine, so materialized and streamed sequences
+// predict identically. See DESIGN.md "LogGP simulation".
 package simmpi
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/mpisim"
 	"repro/internal/obs"
@@ -118,17 +115,11 @@ func (s *sliceSource) Next() (*trace.Event, bool) {
 // SimulateStream over materialized slices; both entry points share one
 // engine, so their results are identical for identical sequences.
 func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
-	return SimulatePar(seqs, params, 1)
-}
-
-// SimulatePar is Simulate with an explicit simulation worker bound; see
-// SimulateStreamPar for the worker semantics.
-func SimulatePar(seqs [][]trace.Event, params mpisim.Params, workers int) (Result, error) {
 	srcs := make([]EventSource, len(seqs))
 	for i := range seqs {
 		srcs[i] = &sliceSource{evs: seqs[i]}
 	}
-	return SimulateStreamPar(srcs, params, workers)
+	return SimulateStream(srcs, params)
 }
 
 // SimulateStream predicts execution for per-rank event streams pulled from
@@ -137,89 +128,60 @@ func SimulatePar(seqs [][]trace.Event, params mpisim.Params, workers int) (Resul
 // as they are pulled, one at a time. The event an iterator yields is held by
 // value across blocked retries, so sources may reuse their buffers.
 func SimulateStream(srcs []EventSource, params mpisim.Params) (Result, error) {
-	return SimulateStreamPar(srcs, params, 1)
-}
-
-// SimulateStreamPar is SimulateStream with an explicit worker bound for the
-// epoch-parallel engine (workers <= 0 uses GOMAXPROCS; the bound is clamped
-// to the rank count). workers == 1 runs the sequential sweep driver with
-// zero locking; workers > 1 advances ranks concurrently inside conservative
-// lookahead windows. The Result is bit-identical at every worker count.
-// Each source is still consumed by at most one goroutine at a time (window
-// barriers order the hand-offs), so replay cursors need no locking.
-func SimulateStreamPar(srcs []EventSource, params mpisim.Params, workers int) (Result, error) {
 	sp := sink.Start(obs.StageSimulate)
 	defer sp.End()
-	n := len(srcs)
-	if n == 0 {
+	if len(srcs) == 0 {
 		return Result{}, fmt.Errorf("simmpi: no ranks")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	en := newEngine(srcs, params, workers > 1)
-	var err error
-	if en.par {
-		err = en.runParallel(workers)
-	} else {
-		err = en.runSequential()
-	}
-	if err != nil {
+	en := newEngine(srcs, params)
+	if err := en.run(); err != nil {
 		return Result{}, err
 	}
 	return en.result(), nil
 }
 
-// engine is the shared simulation state of both drivers. The par flag
-// selects whether shard and collective access takes locks; with a single
-// worker every lock is skipped, keeping the sequential path's per-event cost
-// identical to the historical engine's.
+// engine is the simulation state of one run: every rank's cursor and
+// clocks, one match table per destination rank, and the collective groups.
 type engine struct {
 	params mpisim.Params
 	n      int
-	par    bool
 	ranks  []simRank
-	shards []matchShard
-
-	collMu sync.Mutex
+	tables []matchTable
 	colls  []*collGroup
-
-	// ps is the parallel driver's scheduling state (engine.go); untouched by
-	// the sequential driver.
-	ps parState
 }
 
-func newEngine(srcs []EventSource, params mpisim.Params, par bool) *engine {
-	en := &engine{params: params, n: len(srcs), par: par}
+func newEngine(srcs []EventSource, params mpisim.Params) *engine {
+	en := &engine{params: params, n: len(srcs)}
 	en.ranks = make([]simRank, en.n)
 	for i := range en.ranks {
 		en.ranks[i].src = srcs[i]
 	}
-	en.shards = make([]matchShard, en.n)
-	for i := range en.shards {
-		en.shards[i].q = map[matchKey]*msgQueue{}
+	en.tables = make([]matchTable, en.n)
+	for i := range en.tables {
+		en.tables[i].q = map[matchKey]*msgQueue{}
 	}
 	return en
 }
 
-// runSequential is the workers == 1 driver: sweep every rank in order, each
-// processing events until it blocks, until all sources are drained or no
-// sweep makes progress. Each sweep is reported as one window so the
-// per-window metrics stay meaningful across drivers.
-func (en *engine) runSequential() error {
+// run sweeps every rank in order, each processing events until it blocks,
+// until all sources are drained or a sweep makes no progress. Each sweep is
+// reported as one window (obs.SimWindows, one "window" span on the sim
+// track); the live ranks a sweep visits without progress count as
+// obs.SimBarrierStalls.
+func (en *engine) run() error {
 	for {
 		wsp := rec.Begin(ftrace.CatSim, ftrace.NameWindow, 0)
-		progressed := 0
-		remaining := 0
+		progressed, remaining, stalls := 0, 0, 0
 		for rid := range en.ranks {
-			p, err := en.advance(rid, math.Inf(1))
+			live := !en.ranks[rid].done
+			p, err := en.advance(rid)
 			if err != nil {
 				return err
 			}
 			progressed += p
+			if p == 0 && live {
+				stalls++
+			}
 			if !en.ranks[rid].done {
 				remaining++
 			}
@@ -228,6 +190,7 @@ func (en *engine) runSequential() error {
 		if sink.Enabled() {
 			sink.Inc(obs.SimWindows)
 			sink.Observe(obs.HistSimWindowEvents, int64(progressed))
+			sink.Add(obs.SimBarrierStalls, int64(stalls))
 		}
 		if remaining == 0 {
 			return nil
@@ -238,12 +201,9 @@ func (en *engine) runSequential() error {
 	}
 }
 
-// advance drains rank rid: it processes events until the rank blocks, its
-// source is exhausted, or its clock passes windowEnd — checked only after at
-// least one event processed, so every unblocked rank is guaranteed progress
-// per visit (the liveness bound of the parallel driver). It returns the
-// number of events processed.
-func (en *engine) advance(rid int, windowEnd float64) (int, error) {
+// advance drains rank rid: it processes events until the rank blocks or its
+// source is exhausted, and returns the number of events processed.
+func (en *engine) advance(rid int) (int, error) {
 	r := &en.ranks[rid]
 	processed := 0
 	for {
@@ -285,9 +245,6 @@ func (en *engine) advance(rid int, windowEnd float64) (int, error) {
 		r.have = false
 		r.idx++
 		processed++
-		if r.clock >= windowEnd {
-			break
-		}
 	}
 	return processed, nil
 }
@@ -320,45 +277,11 @@ func stallState(ranks []simRank) string {
 	return "all done"
 }
 
-// sendMsg publishes one message arrival into the destination's shard and
-// returns the key's queue depth after the push.
-func (en *engine) sendMsg(dst int, k matchKey, t float64) int {
-	sh := &en.shards[dst]
-	if en.par {
-		sh.mu.Lock()
-		d := sh.push(k, t)
-		sh.mu.Unlock()
-		return d
-	}
-	return sh.push(k, t)
-}
-
-// recvMsg pops the head arrival for k at dst's shard, if one is queued.
-// Popping before the clock advances is equivalent to the historical
-// check-then-pop: the pop commits the step, and compute accumulation does
-// not interact with the shard.
-func (en *engine) recvMsg(dst int, k matchKey) (float64, bool) {
-	sh := &en.shards[dst]
-	if en.par {
-		sh.mu.Lock()
-		t, ok := sh.tryPop(k)
-		sh.mu.Unlock()
-		return t, ok
-	}
-	return sh.tryPop(k)
-}
-
-// completeRecvs checks, in one shard critical section, that every receive in
-// r.toComplete has a queued message at rid's shard, and if so pops them all
-// in completion order into r.avails. All keys live in rank rid's own shard,
-// and only rid pops it, so a concurrent push between check and pop can only
-// add availability, never steal a counted message.
+// completeRecvs checks that every receive in r.toComplete has a queued
+// message in rid's match table, and if so pops them all in completion order
+// into r.avails.
 func (en *engine) completeRecvs(rid int, r *simRank) bool {
-	sh := &en.shards[rid]
-	if en.par {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	tb := &en.tables[rid]
 	// Entry i needs the queue for its key to hold every earlier same-key
 	// completion plus itself. Pending lists are short, so the quadratic scan
 	// beats the historical per-event count map.
@@ -371,23 +294,22 @@ func (en *engine) completeRecvs(rid int, r *simRank) bool {
 				need++
 			}
 		}
-		if sh.depth(matchKey{pr.peer, pr.tag}) < need {
+		if tb.depth(matchKey{pr.peer, pr.tag}) < need {
 			return false
 		}
 	}
 	r.avails = r.avails[:0]
 	for _, pi := range r.toComplete {
 		pr := &r.pending[pi]
-		r.avails = append(r.avails, sh.pop(matchKey{pr.peer, pr.tag}))
+		r.avails = append(r.avails, tb.pop(matchKey{pr.peer, pr.tag}))
 	}
 	return true
 }
 
 // step attempts to process one event; it returns false when the event must
 // wait for progress elsewhere. Every clock/comm/compute update is a function
-// of rank-local state plus values read from the rank's own match shard or
-// collective group, so the outcome is invariant under the schedule that
-// interleaved other ranks' steps (see DESIGN.md "Parallel simulation").
+// of rank-local state plus values read from the rank's own match table or
+// collective group (see DESIGN.md "LogGP simulation").
 func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 	p := en.params
 	// Compute time precedes the call.
@@ -396,6 +318,14 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		r.compute += e.ComputeNS
 	}
 
+	switch e.Op {
+	case trace.OpSend, trace.OpIsend, trace.OpRecv, trace.OpIrecv:
+		// An out-of-range peer means the trace and the rank count disagree.
+		if e.Peer < 0 || e.Peer >= en.n {
+			return false, fmt.Errorf("simmpi: rank %d %v at gid %d to peer %d outside [0,%d)",
+				rid, e.Op, e.GID, e.Peer, en.n)
+		}
+	}
 	switch {
 	case e.Op == trace.OpInit:
 		advCompute()
@@ -405,7 +335,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.InjectNS(e.Size)
-		depth := en.sendMsg(e.Peer, matchKey{rid, e.Tag}, r.clock+p.LatencyNS)
+		depth := en.tables[e.Peer].push(matchKey{rid, e.Tag}, r.clock+p.LatencyNS)
 		if sink.Enabled() {
 			sink.Observe(obs.HistSimQueueDepth, int64(depth))
 			sink.SetMax(obs.SimMatchDepthPeak, int64(depth))
@@ -420,7 +350,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		r.comm += r.clock - t0
 		return true, nil
 	case e.Op == trace.OpRecv:
-		avail, ok := en.recvMsg(rid, matchKey{e.Peer, e.Tag})
+		avail, ok := en.tables[rid].tryPop(matchKey{e.Peer, e.Tag})
 		if !ok {
 			return false, nil // matching send not simulated yet
 		}
@@ -479,15 +409,10 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 }
 
 // stepColl folds one rank's arrival into its next collective group. The
-// group's entry time is a max over arrival clocks — order-independent, so
-// the finish time is schedule-invariant. Which participant's mismatch is
-// reported can vary with the schedule; whether one is reported cannot,
-// since every participant eventually arrives and compares.
+// group's entry time is the max over arrival clocks; the group completes
+// when every rank has arrived, and a rank whose op or size disagrees with
+// the first arrival's is a collective mismatch.
 func (en *engine) stepColl(r *simRank, rid int, e *trace.Event) (bool, error) {
-	if en.par {
-		en.collMu.Lock()
-		defer en.collMu.Unlock()
-	}
 	g := en.coll(r.collIdx)
 	if !r.inColl {
 		r.clock += e.ComputeNS

@@ -1,7 +1,9 @@
 package simmpi
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cst"
@@ -163,6 +165,30 @@ func TestSimulateCollectiveMismatchDetected(t *testing.T) {
 	}
 	if _, err := Simulate(seqs, mpisim.DefaultParams()); err == nil {
 		t.Fatal("mismatch not detected")
+	}
+}
+
+// TestSimulateBadPeerErrors pins that a point-to-point event whose peer lies
+// outside [0, ranks) is an error naming the rank, op, GID and peer: never an
+// index panic (sends) or a misleading stall (receives).
+func TestSimulateBadPeerErrors(t *testing.T) {
+	const n = 3
+	for _, op := range []trace.Op{trace.OpSend, trace.OpIsend, trace.OpRecv, trace.OpIrecv} {
+		for _, peer := range []int{-1, n} {
+			t.Run(fmt.Sprintf("%v/peer%d", op, peer), func(t *testing.T) {
+				barrier := trace.Event{Op: trace.OpBarrier, Peer: trace.NoPeer}
+				seqs := [][]trace.Event{
+					{barrier},
+					{{Op: op, Peer: peer, Tag: 1, Size: 8, GID: 42}, barrier},
+					{barrier},
+				}
+				_, err := Simulate(seqs, mpisim.DefaultParams())
+				want := fmt.Sprintf("rank 1 %v at gid 42 to peer %d outside [0,%d)", op, peer, n)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("got error %v, want one containing %q", err, want)
+				}
+			})
+		}
 	}
 }
 

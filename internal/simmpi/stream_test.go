@@ -28,6 +28,15 @@ func (s *reusingSource) Next() (*trace.Event, bool) {
 	return &s.buf, true
 }
 
+// reusingSources wraps every rank's sequence in a reusingSource.
+func reusingSources(seqs [][]trace.Event) []EventSource {
+	srcs := make([]EventSource, len(seqs))
+	for i := range seqs {
+		srcs[i] = &reusingSource{evs: seqs[i]}
+	}
+	return srcs
+}
+
 // exchangeSeqs is a 3-rank fixture that forces blocked retries: rank 0's recv
 // waits on rank 2's send, which is processed after rank 0's first attempt, so
 // the engine revisits held events — through the buffer-reusing source this
@@ -60,11 +69,7 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := make([]EventSource, len(seqs))
-	for i := range seqs {
-		srcs[i] = &reusingSource{evs: seqs[i]}
-	}
-	got, err := SimulateStream(srcs, params)
+	got, err := SimulateStream(reusingSources(seqs), params)
 	if err != nil {
 		t.Fatal(err)
 	}
