@@ -205,9 +205,10 @@ func (m *Merged) EncodeIndexedGzip(out io.Writer) (int64, error) {
 }
 
 // lazySlot is one unmaterialized payload: the byte range of its VData section
-// within the retained encoding.
+// within the retained encoding, and the record GID its vertex stamps.
 type lazySlot struct {
 	start, end int64
+	gid        int32 // GID stamped on the section's records (see recordGID)
 }
 
 // lazyPayloads is the decoder-owned arena behind a selectively decoded tree:
@@ -238,7 +239,7 @@ func (lp *lazyPayloads) fill(slot int) (*ctt.VData, error) {
 	d := &lp.dec
 	d.reader = reader{r: br} // resets the latched error from any prior fill
 	vd := d.vdata()
-	d.decodeVData(vd, lp.mode)
+	d.decodeVData(vd, lp.mode, s.gid)
 	if d.err != nil {
 		return nil, fmt.Errorf("merge: lazy payload fill: %w", d.err)
 	}
@@ -403,6 +404,7 @@ func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 		if n == 0 {
 			continue
 		}
+		recGID := recordGID(m.Tree, gid)
 		var es []Entry
 		if n > decodeEager {
 			es = make([]Entry, 0, decodeEager)
@@ -431,7 +433,7 @@ func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 				}
 				if sel.matches(e.Ranks) {
 					e.Data = d.vdata()
-					d.decodeVData(e.Data, mode)
+					d.decodeVData(e.Data, mode, recGID)
 					if d.err != nil {
 						return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
 					}
@@ -459,7 +461,7 @@ func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 				if _, err := br.Seek(end, io.SeekStart); err != nil {
 					return nil, err
 				}
-				lz.slots = append(lz.slots, lazySlot{start: start, end: end})
+				lz.slots = append(lz.slots, lazySlot{start: start, end: end, gid: recGID})
 				e.lazy = int32(len(lz.slots))
 				skipped++
 				skippedB += end - start

@@ -520,6 +520,7 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 		if n == 0 {
 			continue
 		}
+		recGID := recordGID(m.Tree, gid)
 		// Lists up to decodeEager carve an exact-length block; larger declared
 		// counts earn their storage batch by batch (see decodeEager).
 		var es []Entry
@@ -531,7 +532,7 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 			b := umin(rem, decodeEager)
 			chunk := d.entries(int(b))
 			for k := range chunk {
-				d.entry(&chunk[k], mode)
+				d.entry(&chunk[k], mode, recGID)
 				if d.err != nil {
 					return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
 				}
@@ -555,14 +556,29 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 	return m, nil
 }
 
-// entry decodes one vertex-data entry in place.
-func (d *decoder) entry(e *Entry, mode timestat.Mode) {
-	e.Ranks.Load(d.setRuns())
-	e.Data = d.vdata()
-	d.decodeVData(e.Data, mode)
+// recordGID is the GID the compressor stamps on the records of vertex gid:
+// the vertex's own GID for comm leaves, -1 for the root's MPI_Init and
+// MPI_Finalize records, which have no call site. The encoding does not carry
+// it; the decoder restores it so completion records pair with their posters
+// (simmpi matches a Wait's request GIDs against its Irecvs' GIDs).
+func recordGID(t *cst.Tree, gid int) int32 {
+	if t.ByGID[gid] == t.Root {
+		return -1
+	}
+	return int32(gid)
 }
 
-func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode) {
+// entry decodes one vertex-data entry in place; recGID is stamped on its
+// records (see recordGID).
+func (d *decoder) entry(e *Entry, mode timestat.Mode, recGID int32) {
+	e.Ranks.Load(d.setRuns())
+	e.Data = d.vdata()
+	d.decodeVData(e.Data, mode, recGID)
+}
+
+// decodeVData decodes one vertex payload in place, stamping recGID on every
+// record (see recordGID).
+func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode, recGID int32) {
 	for _, run := range d.runs() {
 		vd.Counts.AppendRun(run)
 	}
@@ -607,7 +623,7 @@ func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode) {
 		b := umin(rem, decodeEager)
 		chunk := d.arena.Alloc(int(b))
 		for _, rec := range chunk {
-			d.record(rec, mode)
+			d.record(rec, mode, recGID)
 			if d.err != nil {
 				return
 			}
@@ -621,9 +637,10 @@ func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode) {
 	}
 }
 
-// record decodes one comm record in place.
-func (d *decoder) record(rec *ctt.CommRecord, mode timestat.Mode) {
+// record decodes one comm record of a vertex whose records carry recGID.
+func (d *decoder) record(rec *ctt.CommRecord, mode timestat.Mode, recGID int32) {
 	rec.Ev.Op = trace.Op(d.u())
+	rec.Ev.GID = recGID
 	flags := d.u()
 	rec.Ev.Wildcard = flags&1 != 0
 	rec.RelEncoded = flags&2 != 0

@@ -6,17 +6,17 @@
 // visit of every loop iteration. The Streamer below replaces that with a
 // per-rank RESOLVED VIEW: one pass over Merged.Entries produces a flat
 // []*ctt.VData indexed by gid, turning every accessor into an O(1) index.
-// View storage is pooled and reused across ranks, so resolving rank r+1
-// costs zero allocations after rank r.
+// View storage is reused across the ranks one worker resolves, so resolving
+// rank r+1 costs zero allocations after rank r.
 //
 // The resolver also exploits the SPMD structure the merge itself discovered:
 // while resolving it records WHICH entry each vertex selected (the selection
 // vector). Ranks with identical selection vectors see identical resolved
 // data, so their tree walks emit the same sequence of (record, occurrence)
 // steps — only the rank-relative peer fields differ. The Streamer therefore
-// memoizes one REPLAY SKELETON ([]replay.Step) per selection class and
+// memoizes one REPLAY SKELETON (replay.Skeleton) per selection class and
 // replays all other ranks of the class by a flat scan over the shared steps
-// (replay.EmitSkeleton / replay.Cursor), skipping the tree walk entirely.
+// (Skeleton.Emit / replay.Cursor), skipping the tree walk entirely.
 // For a P-rank SPMD job with k classes (k ≈ 1–3 in practice) the tree is
 // walked k times instead of P times.
 //
@@ -93,29 +93,36 @@ func (r *Resolved) Cycles(gid int32) []ctt.Cycle {
 // replayClass is one selection class: the set of ranks whose resolved views
 // are identical, sharing one memoized replay skeleton.
 type replayClass struct {
-	sel   []int32       // entry index per gid (-1 = not executed); exact identity
-	steps []replay.Step // memoized skeleton (record, occurrence) sequence
+	sel []int32          // entry index per gid (-1 = not executed); exact identity
+	sk  *replay.Skeleton // memoized (record, occurrence) sequence
 }
 
-// resolveScratch is the pooled per-resolve working set.
+// resolveScratch is the per-resolve working set. Each worker of Prepare
+// and ReplayAll reuses one across its ranks; it is not pooled on the
+// Streamer, because a pool referenced from the runtime's pool list would
+// keep the whole Streamer — skeletons and decoded tree included — alive
+// until two garbage collections after its last use.
 type resolveScratch struct {
 	data []*ctt.VData
 	sel  []int32
 }
 
+func (s *Streamer) newScratch() *resolveScratch {
+	nv := len(s.m.Entries)
+	return &resolveScratch{data: make([]*ctt.VData, nv), sel: make([]int32, nv)}
+}
+
 // Streamer replays ranks of a merged tree through resolved views and
 // memoized, group-shared replay skeletons. It is safe for concurrent use;
-// scratch storage is pooled and skeletons are built at most once per
-// selection class (modulo benign warm-up races, where the first stored
-// skeleton wins).
+// skeletons are built at most once per selection class (modulo benign
+// warm-up races, where the first stored skeleton wins).
 //
 // Memory: the Streamer retains one selection vector (4 bytes per vertex) and
-// one skeleton (16 bytes per event of one rank's sequence) per class — for
-// SPMD jobs a constant independent of P, and always at most the cost of
-// materializing the distinct per-rank sequences once.
+// one skeleton (8 bytes per event of one rank's sequence, plus its record
+// table) per class — for SPMD jobs a constant independent of P, and always
+// at most the cost of materializing the distinct per-rank sequences once.
 type Streamer struct {
-	m       *Merged
-	scratch sync.Pool // *resolveScratch
+	m *Merged
 
 	mu      sync.Mutex
 	classes map[fp.Hash][]*replayClass // hash → collision chain
@@ -125,16 +132,11 @@ type Streamer struct {
 // NewStreamer returns a streaming replayer for m. The Streamer aliases m's
 // entries; m must not be merged further while the Streamer is in use.
 func NewStreamer(m *Merged) *Streamer {
-	s := &Streamer{
+	return &Streamer{
 		m:       m,
 		classes: make(map[fp.Hash][]*replayClass),
 		byRank:  make([]*replayClass, m.NumRanks),
 	}
-	nv := len(m.Entries)
-	s.scratch.New = func() any {
-		return &resolveScratch{data: make([]*ctt.VData, nv), sel: make([]int32, nv)}
-	}
-	return s
 }
 
 // NumRanks returns the number of ranks in the underlying tree.
@@ -196,8 +198,9 @@ func selEqual(a, b []int32) bool {
 // memoizing the replay skeleton on first contact with the class. When emit is
 // non-nil and the class was not yet memoized, the skeleton-building walk
 // streams rank's events into emit and the returned bool is true (the caller
-// must not emit again).
-func (s *Streamer) classFor(rank int, emit func(*trace.Event)) (*replayClass, bool, error) {
+// must not emit again). sc is the caller's resolve scratch; nil allocates one
+// if the rank needs resolving.
+func (s *Streamer) classFor(rank int, emit func(*trace.Event), sc *resolveScratch) (*replayClass, bool, error) {
 	if rank < 0 || rank >= s.m.NumRanks {
 		return nil, false, fmt.Errorf("merge: replay rank %d out of range [0,%d)", rank, s.m.NumRanks)
 	}
@@ -210,8 +213,9 @@ func (s *Streamer) classFor(rank int, emit func(*trace.Event)) (*replayClass, bo
 	}
 	s.mu.Unlock()
 
-	sc := s.scratch.Get().(*resolveScratch)
-	defer s.scratch.Put(sc)
+	if sc == nil {
+		sc = s.newScratch()
+	}
 	h, err := s.resolve(rank, sc)
 	if err != nil {
 		return nil, false, err
@@ -234,14 +238,18 @@ func (s *Streamer) classFor(rank int, emit func(*trace.Event)) (*replayClass, bo
 	view := &Resolved{tree: s.m.Tree, data: sc.data, rank: rank}
 	bsp := sink.Start(obs.StageSkeleton)
 	tsp := rec.Begin(ftrace.CatReplay, ftrace.NameSkeleton, 0)
-	steps, err := replay.Skeleton(view, rank, emit)
-	tsp.End(int64(rank), int64(len(steps)))
+	sk, err := replay.BuildSkeleton(view, rank, emit)
+	var nsteps int64
+	if sk != nil {
+		nsteps = int64(sk.Len())
+	}
+	tsp.End(int64(rank), nsteps)
 	bsp.End()
 	sink.Inc(obs.ReplaySkeletonBuilds)
 	if err != nil {
 		return nil, emit != nil, err
 	}
-	c := &replayClass{sel: append([]int32(nil), sc.sel...), steps: steps}
+	c := &replayClass{sel: append([]int32(nil), sc.sel...), sk: sk}
 
 	s.mu.Lock()
 	if prior := s.lookup(h, sc.sel); prior != nil {
@@ -260,11 +268,15 @@ func (s *Streamer) classFor(rank int, emit func(*trace.Event)) (*replayClass, bo
 // skeleton. The event pointer is only valid during the callback. The emitted
 // sequence is byte-identical to replay.Events over ForRank(rank).
 func (s *Streamer) Replay(rank int, emit func(e *trace.Event)) error {
-	c, emitted, err := s.classFor(rank, emit)
+	return s.replay(rank, emit, nil)
+}
+
+func (s *Streamer) replay(rank int, emit func(e *trace.Event), sc *resolveScratch) error {
+	c, emitted, err := s.classFor(rank, emit, sc)
 	if err != nil || emitted {
 		return err
 	}
-	replay.EmitSkeleton(c.steps, rank, emit)
+	c.sk.Emit(rank, emit)
 	return nil
 }
 
@@ -272,11 +284,11 @@ func (s *Streamer) Replay(rank int, emit func(e *trace.Event)) error {
 // rank's (possibly shared) replay skeleton: O(1) per-rank state, suitable for
 // feeding simmpi.SimulateStream without materializing the sequence.
 func (s *Streamer) Cursor(rank int) (*replay.Cursor, error) {
-	c, _, err := s.classFor(rank, nil)
+	c, _, err := s.classFor(rank, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return replay.NewCursor(c.steps, rank), nil
+	return replay.NewCursor(c.sk, rank), nil
 }
 
 // Prepare resolves every rank and builds every selection class's skeleton
@@ -284,8 +296,8 @@ func (s *Streamer) Cursor(rank int) (*replay.Cursor, error) {
 // first makes subsequent Cursor calls O(1); Replay and Cursor also build
 // lazily, so Prepare is an optimization, not a requirement.
 func (s *Streamer) Prepare(workers int) error {
-	return s.forEachRank(workers, func(rank int) error {
-		_, _, err := s.classFor(rank, nil)
+	return s.forEachRank(workers, func(rank int, sc *resolveScratch) error {
+		_, _, err := s.classFor(rank, nil, sc)
 		return err
 	})
 }
@@ -296,14 +308,15 @@ func (s *Streamer) Prepare(workers int) error {
 // per-rank accumulation (one matrix row per rank, say) needs no locking. The
 // first error stops no other lanes but is the one returned.
 func (s *Streamer) ReplayAll(workers int, fn func(rank int, e *trace.Event)) error {
-	return s.forEachRank(workers, func(rank int) error {
-		return s.Replay(rank, func(e *trace.Event) { fn(rank, e) })
+	return s.forEachRank(workers, func(rank int, sc *resolveScratch) error {
+		return s.replay(rank, func(e *trace.Event) { fn(rank, e) }, sc)
 	})
 }
 
 // forEachRank fans fn out over ranks with an atomic work counter, so
-// stragglers do not serialize behind a static partition.
-func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
+// stragglers do not serialize behind a static partition. Each worker passes
+// fn one resolve scratch for all its ranks.
+func (s *Streamer) forEachRank(workers int, fn func(rank int, sc *resolveScratch) error) error {
 	n := s.m.NumRanks
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -312,8 +325,9 @@ func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
 		workers = n
 	}
 	if workers <= 1 {
+		sc := s.newScratch()
 		for rank := 0; rank < n; rank++ {
-			if err := fn(rank); err != nil {
+			if err := fn(rank, sc); err != nil {
 				return err
 			}
 		}
@@ -327,12 +341,13 @@ func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := s.newScratch()
 			for {
 				rank := int(next.Add(1))
 				if rank >= n {
 					return
 				}
-				if err := fn(rank); err != nil {
+				if err := fn(rank, sc); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 				}
 			}

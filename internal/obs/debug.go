@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -155,6 +156,11 @@ func (d *DebugServer) Close() error {
 		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		err := d.srv.Shutdown(ctx)
+		if errors.Is(err, net.ErrClosed) {
+			// Shutdown closed the listener closed above a second time; it
+			// still drained every connection before returning.
+			err = nil
+		}
 		if err != nil {
 			// Deadline hit with handlers still running: sever them.
 			if cerr := d.srv.Close(); err == context.DeadlineExceeded && cerr != nil {

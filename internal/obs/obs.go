@@ -94,8 +94,8 @@ const (
 	ReplayEventsEmitted  // events synthesized by replay paths
 	SimEventsProcessed   // events consumed by the LogGP engine
 	SimBlockedCopies     // blocked events copied into rank-local buffers
-	SimWindows           // simulation sweeps over the ranks
-	SimBarrierStalls     // live-rank visits in a sweep that made no progress
+	SimWindows           // simulator scheduling rounds over the ready list
+	SimBarrierStalls     // rank visits that made no progress (spurious wake-ups)
 	SimMatchDepthPeak    // peak per-key match-table depth (gauge)
 
 	// Content-addressed corpus (internal/corpus).
@@ -217,7 +217,7 @@ const (
 	HistReqOccupancy    Hist = iota // live requests at each non-blocking post
 	HistWildcardDepth               // cached wildcard events at each cache insert
 	HistSimQueueDepth               // in-flight message queue depth at each send
-	HistSimWindowEvents             // events processed per simulation sweep
+	HistSimWindowEvents             // events processed per simulator scheduling round
 	HistIOFrameBytes                // compressed bytes per CYPB frame
 	HistIOCompressNS                // wall time deflating one frame
 	HistIOInflateNS                 // wall time inflating one frame

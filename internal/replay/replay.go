@@ -7,6 +7,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cst"
@@ -58,120 +59,146 @@ func (s RankSource) Cycles(gid int32) []ctt.Cycle { return s.C.Data[gid].Cycles 
 func Events(src Source, rank int, emit func(e *trace.Event)) error {
 	var ev trace.Event
 	var n int64
-	err := walkSteps(src, rank, func(rec *ctt.CommRecord, k int64) {
+	err := newReplayer(src, rank, func(rec *ctt.CommRecord, _ int, k int64) {
 		synthesize(&ev, rec, rank, k)
 		emit(&ev)
 		n++
-	})
+	}).walk()
 	sink.Add(obs.ReplayEventsEmitted, n)
 	return err
 }
 
-// Step is one emitted event of a replay skeleton: the source record and the
-// occurrence index within it. A skeleton captures everything about a rank's
-// tree walk except the rank-relative fields (peer, which PeerForAt derives
-// per rank), so ranks whose resolved views are identical can share one
-// skeleton and skip the tree walk entirely (see merge.Streamer).
+// Step is one emitted event of a replay skeleton: the index of its source
+// record in the skeleton's record table and the occurrence index within
+// that record. Steps hold no pointers, so the garbage collector never scans
+// a skeleton's step list, and each is 8 bytes.
 type Step struct {
-	Rec *ctt.CommRecord
-	K   int64
+	Rec, K uint32
 }
 
-// Skeleton walks src once and returns rank's replay skeleton. When emit is
-// non-nil, events are additionally synthesized and emitted during the walk,
-// exactly as Events would — building a skeleton for the first rank of a
-// group costs no second pass.
-func Skeleton(src Source, rank int, emit func(e *trace.Event)) ([]Step, error) {
-	var steps []Step
+// Skeleton is a rank's replay walk with the rank-relative fields left out: a
+// table of the records the walk visits and the (record, occurrence) steps it
+// emits. It captures everything about the walk except the peer, which
+// PeerForAt derives per rank, so ranks whose resolved views are identical
+// can share one skeleton and skip the tree walk entirely (see
+// merge.Streamer).
+type Skeleton struct {
+	Recs  []*ctt.CommRecord
+	Steps []Step
+}
+
+// Len returns the number of events the skeleton emits.
+func (sk *Skeleton) Len() int { return len(sk.Steps) }
+
+// BuildSkeleton walks src once and returns rank's replay skeleton. When emit
+// is non-nil, events are additionally synthesized and emitted during the
+// walk, exactly as Events would — building a skeleton for the first rank of
+// a group costs no second pass. A walk of 2^32 or more events is an error:
+// steps count occurrences in 32 bits.
+func BuildSkeleton(src Source, rank int, emit func(e *trace.Event)) (*Skeleton, error) {
+	// Steps collect in pooled scratch and are copied out at their exact
+	// length, so a build leaves neither growth garbage nor spare capacity.
+	scratch := stepPool.Get().(*[]Step)
+	defer stepPool.Put(scratch)
+	steps := (*scratch)[:0]
+	defer func() { *scratch = steps[:0] }()
 	var ev trace.Event
-	err := walkSteps(src, rank, func(rec *ctt.CommRecord, k int64) {
-		steps = append(steps, Step{Rec: rec, K: k})
+	var tooLong bool
+	r := newReplayer(src, rank, func(rec *ctt.CommRecord, ri int, k int64) {
+		if len(steps) == math.MaxUint32 {
+			tooLong = true
+			return
+		}
+		steps = append(steps, Step{Rec: uint32(ri), K: uint32(k)})
 		if emit != nil {
 			synthesize(&ev, rec, rank, k)
 			emit(&ev)
 		}
 	})
-	if err != nil {
+	// The record table is the view's records, flattened in GID order.
+	recs := make([]*ctt.CommRecord, 0, r.nrec)
+	for gid := range r.base {
+		recs = append(recs, src.Records(int32(gid))...)
+	}
+	if err := r.walk(); err != nil {
 		return nil, err
 	}
-	return steps, nil
+	if tooLong {
+		return nil, fmt.Errorf("replay: rank %d: walk exceeds a skeleton's 2^32 steps", rank)
+	}
+	return &Skeleton{Recs: recs, Steps: append([]Step(nil), steps...)}, nil
 }
 
+var stepPool = sync.Pool{New: func() any { return new([]Step) }}
+
 // evPool recycles the one event buffer a skeleton scan synthesizes into; the
-// buffer escapes through the emit callback, so without pooling every
-// EmitSkeleton call would heap-allocate it and steady-state streaming replay
-// would cost one allocation per rank.
+// buffer escapes through the emit callback, so without pooling every Emit
+// call would heap-allocate it and steady-state streaming replay would cost
+// one allocation per rank.
 var evPool = sync.Pool{New: func() any { return new(trace.Event) }}
 
-// EmitSkeleton synthesizes the events of a skeleton from rank's perspective,
-// in order. Only the rank-relative fields (peer) are re-evaluated; the
-// emitted sequence is byte-identical to a full Events walk of the same
-// resolved data. The event pointer is only valid during the callback.
-func EmitSkeleton(steps []Step, rank int, emit func(e *trace.Event)) {
+// Emit synthesizes the events of the skeleton from rank's perspective, in
+// order. Only the rank-relative fields (peer) are re-evaluated; the emitted
+// sequence is byte-identical to a full Events walk of the same resolved
+// data. The event pointer is only valid during the callback.
+func (sk *Skeleton) Emit(rank int, emit func(e *trace.Event)) {
 	ev := evPool.Get().(*trace.Event)
-	for i := range steps {
-		synthesize(ev, steps[i].Rec, rank, steps[i].K)
+	for _, st := range sk.Steps {
+		synthesize(ev, sk.Recs[st.Rec], rank, int64(st.K))
 		emit(ev)
 	}
 	*ev = trace.Event{} // drop record-aliased slices before pooling
 	evPool.Put(ev)
-	sink.Add(obs.ReplayEventsEmitted, int64(len(steps)))
+	sink.Add(obs.ReplayEventsEmitted, int64(len(sk.Steps)))
 }
 
 // Cursor is a pull iterator over a replay skeleton: the per-rank-iterator
 // entry point streaming consumers (simmpi.SimulateStream) drive. It holds
 // O(1) state per rank on top of the shared skeleton.
 type Cursor struct {
-	steps []Step
-	rank  int
-	i     int
-	ev    trace.Event
+	sk   *Skeleton
+	rank int
+	i    int
+	ev   trace.Event
 	// counted marks the cursor's events as already folded into the sink's
 	// emission tally (done once, on exhaustion).
 	counted bool
 }
 
-// NewCursor returns a cursor over steps from rank's perspective.
-func NewCursor(steps []Step, rank int) *Cursor {
-	return &Cursor{steps: steps, rank: rank}
+// NewCursor returns a cursor over sk from rank's perspective.
+func NewCursor(sk *Skeleton, rank int) *Cursor {
+	return &Cursor{sk: sk, rank: rank}
 }
 
 // Next returns the next event, or false when the sequence is exhausted. The
 // returned pointer is only valid until the following Next call.
 func (c *Cursor) Next() (*trace.Event, bool) {
-	if c.i >= len(c.steps) {
+	if c.i >= len(c.sk.Steps) {
 		if !c.counted {
 			c.counted = true
-			sink.Add(obs.ReplayEventsEmitted, int64(len(c.steps)))
+			sink.Add(obs.ReplayEventsEmitted, int64(len(c.sk.Steps)))
 		}
 		return nil, false
 	}
-	st := &c.steps[c.i]
+	st := c.sk.Steps[c.i]
 	c.i++
-	synthesize(&c.ev, st.Rec, c.rank, st.K)
+	synthesize(&c.ev, c.sk.Recs[st.Rec], c.rank, int64(st.K))
 	return &c.ev, true
 }
 
 // Len returns the total number of events the cursor will yield.
-func (c *Cursor) Len() int { return len(c.steps) }
+func (c *Cursor) Len() int { return len(c.sk.Steps) }
 
 // Rewind resets the cursor to the start of its skeleton, so one prepared
-// cursor can feed repeated simulations (worker sweeps, benchmarks) without
-// re-resolving the rank. Each pass counts toward the sink's emission tally.
+// cursor can feed repeated simulations (benchmarks) without re-resolving the
+// rank. Each pass counts toward the sink's emission tally.
 func (c *Cursor) Rewind() {
 	c.i = 0
 	c.counted = false
 }
 
-// Clone returns an independent cursor over the same shared skeleton,
-// positioned at the start. Clones share no mutable state, so concurrent
-// consumers can walk one memoized class skeleton side by side.
-func (c *Cursor) Clone() *Cursor {
-	return NewCursor(c.steps, c.rank)
-}
-
 // synthesize materializes one replayed event from a record occurrence; the
-// single definition shared by Events, EmitSkeleton, and Cursor keeps every
+// single definition shared by Events, Skeleton.Emit, and Cursor keeps every
 // replay path byte-identical.
 func synthesize(ev *trace.Event, rec *ctt.CommRecord, rank int, k int64) {
 	*ev = rec.Ev
@@ -180,18 +207,31 @@ func synthesize(ev *trace.Event, rec *ctt.CommRecord, rank int, k int64) {
 	ev.ComputeNS = rec.Compute.Mean
 }
 
-// walkSteps drives the pre-order tree walk, invoking step for each record
-// occurrence in original program order.
-func walkSteps(src Source, rank int, step func(rec *ctt.CommRecord, k int64)) error {
+// newReplayer prepares a walk of rank's view in src that invokes step for
+// each record occurrence in original program order. step receives the
+// record, its index in the view's records flattened in GID order, and the
+// occurrence index within the record.
+func newReplayer(src Source, rank int, step func(rec *ctt.CommRecord, ri int, k int64)) *replayer {
+	nv := src.Tree().NumVertices()
 	r := &replayer{
 		src:   src,
 		rank:  rank,
 		step:  step,
-		rec:   map[int32]*recCursor{},
-		act:   map[int32]int64{},
-		reach: map[reachKey]int64{},
+		base:  make([]int, nv),
+		rec:   make([]recCursor, nv),
+		act:   make([]int64, nv),
+		reach: make([]int64, nv),
 	}
-	tree := src.Tree()
+	for gid := range r.base {
+		r.base[gid] = r.nrec
+		r.nrec += len(src.Records(int32(gid)))
+	}
+	return r
+}
+
+// walk drives the pre-order tree walk.
+func (r *replayer) walk() error {
+	tree := r.src.Tree()
 	// MPI_Init lives first on the root's record list, MPI_Finalize second.
 	if err := r.emitLeaf(tree.Root); err != nil {
 		return err
@@ -199,15 +239,7 @@ func walkSteps(src Source, rank int, step func(rec *ctt.CommRecord, k int64)) er
 	if _, err := r.walkBody(tree.Root); err != nil {
 		return err
 	}
-	if err := r.emitLeaf(tree.Root); err != nil {
-		return err
-	}
-	return nil
-}
-
-type reachKey struct {
-	parent int32
-	site   int32
+	return r.emitLeaf(tree.Root)
 }
 
 type recCursor struct {
@@ -216,27 +248,30 @@ type recCursor struct {
 	rep      int64 // completed repetitions of the active record cycle
 }
 
+// replayer is one walk's state, held in slices indexed by vertex GID so a
+// walk allocates O(vertices) once and nothing per event.
 type replayer struct {
-	src   Source
-	rank  int
-	step  func(rec *ctt.CommRecord, k int64)
-	rec   map[int32]*recCursor
-	act   map[int32]int64 // next activation index per loop vertex
-	reach map[reachKey]int64
+	src  Source
+	rank int
+	step func(rec *ctt.CommRecord, ri int, k int64)
+	base []int       // index of each vertex's first record in the flattened view
+	nrec int         // records in the view
+	rec  []recCursor // record cursor per comm leaf (and the root)
+	act  []int64     // next activation index per loop vertex
+	// reach counts the times each branch site was reached, keyed by the GID
+	// of the site's first arm: arms of one (parent, site) group are
+	// consecutive children, so the first arm identifies the group.
+	reach []int64
 }
 
 func (r *replayer) emitLeaf(v *cst.Vertex) error {
 	records := r.src.Records(v.GID)
-	cur := r.rec[v.GID]
-	if cur == nil {
-		cur = &recCursor{}
-		r.rec[v.GID] = cur
-	}
+	cur := &r.rec[v.GID]
 	if cur.idx >= len(records) {
 		return fmt.Errorf("replay: rank %d: leaf %d (%v) out of records", r.rank, v.GID, v.Op)
 	}
 	rec := records[cur.idx]
-	r.step(rec, cur.consumed)
+	r.step(rec, r.base[v.GID]+cur.idx, cur.consumed)
 	cur.consumed++
 	if cur.consumed >= rec.Count {
 		cur.idx++
@@ -307,9 +342,8 @@ func (r *replayer) walkBody(v *cst.Vertex) (bool, error) {
 			for j < len(children) && children[j].Kind == cst.KindBranch && children[j].Site == c.Site {
 				j++
 			}
-			key := reachKey{v.GID, int32(c.Site)}
-			idx := r.reach[key]
-			r.reach[key] = idx + 1
+			idx := r.reach[c.GID]
+			r.reach[c.GID] = idx + 1
 			for _, arm := range children[i:j] {
 				taken := r.src.Taken(arm.GID)
 				if taken != nil && taken.Contains(idx) {

@@ -34,6 +34,22 @@ func (t tee) Finalize()                   { t.comp.Finalize() }
 // raw and replayed sequences per rank.
 func roundTrip(t *testing.T, src string, n int) (raw [][]trace.Event, rep [][]trace.Event) {
 	t.Helper()
+	raw, ctts := compress(t, src, n)
+	rep = make([][]trace.Event, n)
+	for i, c := range ctts {
+		seq, err := Sequence(RankSource{c}, i)
+		if err != nil {
+			t.Fatalf("rank %d replay: %v\n%s", i, err, c.Tree.Dump())
+		}
+		rep[i] = seq
+	}
+	return raw, rep
+}
+
+// compress runs src on n ranks and returns each rank's raw sequence and
+// compressed trace tree.
+func compress(t testing.TB, src string, n int) ([][]trace.Event, []*ctt.RankCTT) {
+	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -62,17 +78,13 @@ func roundTrip(t *testing.T, src string, n int) (raw [][]trace.Event, rep [][]tr
 	}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	raw = make([][]trace.Event, n)
-	rep = make([][]trace.Event, n)
+	raw := make([][]trace.Event, n)
+	ctts := make([]*ctt.RankCTT, n)
 	for i := range sinks {
 		raw[i] = raws[i].Events
-		seq, err := Sequence(RankSource{comps[i].Finish()}, i)
-		if err != nil {
-			t.Fatalf("rank %d replay: %v\n%s", i, err, tree.Dump())
-		}
-		rep[i] = seq
+		ctts[i] = comps[i].Finish()
 	}
-	return raw, rep
+	return raw, ctts
 }
 
 func assertLossless(t *testing.T, src string, n int) {

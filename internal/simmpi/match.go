@@ -1,12 +1,13 @@
 package simmpi
 
 // matchKey identifies one point-to-point match chain inside a destination's
-// match table: messages from one source rank carrying one tag. The
-// destination is implicit in the table index, so the per-map key is one int
-// narrower than the historical global queueMap's (src, dst, tag) key and
-// every destination hashes over a map holding only its own senders.
-type matchKey struct {
-	src, tag int
+// match table: messages from one source rank carrying one tag, packed into
+// one word so the table's map takes its fast 64-bit key path. The
+// destination is implicit in the table index. Sources lie in [0, ranks) and
+// the engine rejects tags outside int32, so the packing is exact: negative
+// tags keep their 32-bit two's-complement pattern.
+func matchKey(src, tag int) uint64 {
+	return uint64(uint32(src))<<32 | uint64(uint32(int32(tag)))
 }
 
 // msgQueue is a FIFO of in-flight message arrival times. Pointer-valued map
@@ -47,12 +48,12 @@ func (q *msgQueue) pop() float64 {
 // destination pushes, only the destination pops, so the i-th push on a key
 // pairs with the i-th pop — MPI's non-overtaking order.
 type matchTable struct {
-	q map[matchKey]*msgQueue
+	q map[uint64]*msgQueue
 }
 
 // push appends an arrival time to k's FIFO and returns the depth after the
 // push (for the queue-depth histogram).
-func (s *matchTable) push(k matchKey, t float64) int {
+func (s *matchTable) push(k uint64, t float64) int {
 	q := s.q[k]
 	if q == nil {
 		q = &msgQueue{}
@@ -62,24 +63,11 @@ func (s *matchTable) push(k matchKey, t float64) int {
 	return q.len()
 }
 
-// depth returns the number of queued arrivals for k.
-func (s *matchTable) depth(k matchKey) int {
-	if q := s.q[k]; q != nil {
-		return q.len()
-	}
-	return 0
-}
-
 // tryPop removes and returns the head arrival for k, if one is queued.
-func (s *matchTable) tryPop(k matchKey) (float64, bool) {
+func (s *matchTable) tryPop(k uint64) (float64, bool) {
 	q := s.q[k]
 	if q == nil || q.len() == 0 {
 		return 0, false
 	}
 	return q.pop(), true
-}
-
-// pop removes and returns the head arrival for k, which must be non-empty.
-func (s *matchTable) pop(k matchKey) float64 {
-	return s.q[k].pop()
 }

@@ -14,8 +14,8 @@ var sink *obs.Sink
 // with a running simulation.
 func SetObs(s *obs.Sink) { sink = s }
 
-// rec is the package's attached flight recorder: one span per sweep on
-// lane 0 of the "sim" track. nil records nothing.
+// rec is the package's attached flight recorder: one span per scheduling
+// round on lane 0 of the "sim" track. nil records nothing.
 var rec *ftrace.Recorder
 
 // SetTrace attaches a flight recorder to the simulation engine. Not safe to

@@ -3,15 +3,17 @@
 // CYPRESS traces (communication sequence + per-record sequential computation
 // time) plus network parameters yield a predicted execution time.
 //
-// The simulator is a discrete-event engine driven by one sequential sweep:
+// The simulator is a sequential discrete-event engine driven by a ready list:
 // each rank advances a local clock through its event sequence until it
-// blocks, and sweeps repeat until every rank drains or a sweep makes no
-// progress (a stall). Point-to-point completions couple to the matching
-// sender's injection time plus latency through per-destination match tables
-// keyed by (source, tag), and collectives synchronize all ranks with the
-// binomial-tree cost model shared with the mpisim runtime. Simulate and
-// SimulateStream share the engine, so materialized and streamed sequences
-// predict identically. See DESIGN.md "LogGP simulation".
+// blocks, and a blocked rank is revisited only when a send reaches its match
+// table or its collective group completes, so the run costs time linear in
+// its events plus wake-ups. An empty list with a rank still live is a stall.
+// Point-to-point completions couple to the matching sender's injection time
+// plus latency through per-destination match tables keyed by (source, tag),
+// and collectives synchronize all ranks with the binomial-tree cost model
+// shared with the mpisim runtime. Simulate and SimulateStream share the
+// engine, so materialized and streamed sequences predict identically. See
+// DESIGN.md "LogGP simulation".
 package simmpi
 
 import (
@@ -50,10 +52,8 @@ func (r Result) CommFraction() float64 {
 }
 
 type pendingRecv struct {
-	gid  int32
-	peer int
-	tag  int
-	size int
+	gid int32
+	key uint64 // match key of the posted receive (see matchKey)
 }
 
 type simRank struct {
@@ -62,6 +62,7 @@ type simRank struct {
 	have    bool // cur holds a blocked, unprocessed event
 	started bool // src yielded at least one event
 	done    bool // src exhausted after at least one event
+	queued  bool // on the engine's ready list
 	idx     int  // events processed (for diagnostics)
 	clock   float64
 	comm    float64
@@ -75,6 +76,7 @@ type simRank struct {
 	// completion op).
 	toComplete []int
 	used       []bool
+	queues     []*msgQueue
 	avails     []float64
 }
 
@@ -141,64 +143,91 @@ func SimulateStream(srcs []EventSource, params mpisim.Params) (Result, error) {
 }
 
 // engine is the simulation state of one run: every rank's cursor and
-// clocks, one match table per destination rank, and the collective groups.
+// clocks, one match table per destination rank, the collective groups, and
+// the ready list of ranks that may be able to progress.
 type engine struct {
 	params mpisim.Params
 	n      int
 	ranks  []simRank
 	tables []matchTable
-	colls  []*collGroup
+	colls  []collGroup
+
+	// ready holds the ranks queued for the current scheduling round, next
+	// those woken during it. A rank stays marked queued while it is being
+	// advanced, so its own sends never wake it.
+	ready, next []int32
+	live        int // ranks whose source is not yet drained
+
+	// Scheduling tallies for the engine's own tests: wake-ups (initial
+	// queueing included) and step attempts.
+	wakes, attempts int64
 }
 
 func newEngine(srcs []EventSource, params mpisim.Params) *engine {
-	en := &engine{params: params, n: len(srcs)}
+	en := &engine{params: params, n: len(srcs), live: len(srcs)}
 	en.ranks = make([]simRank, en.n)
+	en.next = make([]int32, 0, en.n)
+	en.ready = make([]int32, 0, en.n)
 	for i := range en.ranks {
 		en.ranks[i].src = srcs[i]
+		en.wake(i)
 	}
 	en.tables = make([]matchTable, en.n)
 	for i := range en.tables {
-		en.tables[i].q = map[matchKey]*msgQueue{}
+		en.tables[i].q = map[uint64]*msgQueue{}
 	}
 	return en
 }
 
-// run sweeps every rank in order, each processing events until it blocks,
-// until all sources are drained or a sweep makes no progress. Each sweep is
-// reported as one window (obs.SimWindows, one "window" span on the sim
-// track); the live ranks a sweep visits without progress count as
-// obs.SimBarrierStalls.
+// wake queues rank rid for the next scheduling round unless it is already
+// queued (or being advanced) or drained.
+func (en *engine) wake(rid int) {
+	r := &en.ranks[rid]
+	if r.queued || r.done {
+		return
+	}
+	r.queued = true
+	en.next = append(en.next, int32(rid))
+	en.wakes++
+}
+
+// run advances ranks off the ready list until every source is drained or
+// the list empties while a rank is still live (a stall). A blocked rank
+// leaves the list and returns only when something it may be waiting on
+// happens: a send pushes into its match table, or its collective group
+// completes. Clocks depend only on per-(source, tag) FIFO order and group
+// maxima, never on the order ranks are visited, so the result is identical
+// to any other schedule's. Each round drains the list as it stood when the
+// round started and is reported as one window (obs.SimWindows, one "window"
+// span on the sim track); visits that make no progress — spurious wake-ups
+// — count as obs.SimBarrierStalls.
 func (en *engine) run() error {
-	for {
+	for len(en.next) > 0 {
+		en.ready, en.next = en.next, en.ready[:0]
 		wsp := rec.Begin(ftrace.CatSim, ftrace.NameWindow, 0)
-		progressed, remaining, stalls := 0, 0, 0
-		for rid := range en.ranks {
-			live := !en.ranks[rid].done
-			p, err := en.advance(rid)
+		progressed, stalls := 0, 0
+		for _, rid := range en.ready {
+			p, err := en.advance(int(rid))
+			en.ranks[rid].queued = false
 			if err != nil {
 				return err
 			}
 			progressed += p
-			if p == 0 && live {
+			if p == 0 {
 				stalls++
 			}
-			if !en.ranks[rid].done {
-				remaining++
-			}
 		}
-		wsp.End(int64(len(en.ranks)), int64(progressed))
+		wsp.End(int64(len(en.ready)), int64(progressed))
 		if sink.Enabled() {
 			sink.Inc(obs.SimWindows)
 			sink.Observe(obs.HistSimWindowEvents, int64(progressed))
 			sink.Add(obs.SimBarrierStalls, int64(stalls))
 		}
-		if remaining == 0 {
-			return nil
-		}
-		if progressed == 0 {
-			return fmt.Errorf("simmpi: simulation stalled (mismatched trace?): %s", stallState(en.ranks))
-		}
 	}
+	if en.live > 0 {
+		return fmt.Errorf("simmpi: simulation stalled (mismatched trace?): %s", stallState(en.ranks))
+	}
+	return nil
 }
 
 // advance drains rank rid: it processes events until the rank blocks or its
@@ -221,6 +250,7 @@ func (en *engine) advance(rid int) (int, error) {
 			if !more {
 				if r.started {
 					r.done = true
+					en.live--
 				}
 				// else: source empty from the start — mirror the historical
 				// engine, which never marked zero-event ranks done and
@@ -230,6 +260,7 @@ func (en *engine) advance(rid int) (int, error) {
 			r.started = true
 			e = ev
 		}
+		en.attempts++
 		ok, err := en.step(r, rid, e)
 		if err != nil {
 			return processed, err
@@ -285,23 +316,24 @@ func (en *engine) completeRecvs(rid int, r *simRank) bool {
 	// Entry i needs the queue for its key to hold every earlier same-key
 	// completion plus itself. Pending lists are short, so the quadratic scan
 	// beats the historical per-event count map.
+	r.queues = r.queues[:0]
 	for i, pi := range r.toComplete {
-		pr := &r.pending[pi]
+		key := r.pending[pi].key
 		need := 1
 		for _, pj := range r.toComplete[:i] {
-			pq := &r.pending[pj]
-			if pq.peer == pr.peer && pq.tag == pr.tag {
+			if r.pending[pj].key == key {
 				need++
 			}
 		}
-		if tb.depth(matchKey{pr.peer, pr.tag}) < need {
+		q := tb.q[key]
+		if q == nil || q.len() < need {
 			return false
 		}
+		r.queues = append(r.queues, q)
 	}
 	r.avails = r.avails[:0]
-	for _, pi := range r.toComplete {
-		pr := &r.pending[pi]
-		r.avails = append(r.avails, tb.pop(matchKey{pr.peer, pr.tag}))
+	for _, q := range r.queues {
+		r.avails = append(r.avails, q.pop())
 	}
 	return true
 }
@@ -325,6 +357,11 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 			return false, fmt.Errorf("simmpi: rank %d %v at gid %d to peer %d outside [0,%d)",
 				rid, e.Op, e.GID, e.Peer, en.n)
 		}
+		// Match keys pack the tag into 32 bits.
+		if e.Tag != int(int32(e.Tag)) {
+			return false, fmt.Errorf("simmpi: rank %d %v at gid %d with tag %d outside int32",
+				rid, e.Op, e.GID, e.Tag)
+		}
 	}
 	switch {
 	case e.Op == trace.OpInit:
@@ -335,7 +372,8 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.InjectNS(e.Size)
-		depth := en.tables[e.Peer].push(matchKey{rid, e.Tag}, r.clock+p.LatencyNS)
+		depth := en.tables[e.Peer].push(matchKey(rid, e.Tag), r.clock+p.LatencyNS)
+		en.wake(e.Peer)
 		if sink.Enabled() {
 			sink.Observe(obs.HistSimQueueDepth, int64(depth))
 			sink.SetMax(obs.SimMatchDepthPeak, int64(depth))
@@ -346,11 +384,11 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.OverheadNS / 2
-		r.pending = append(r.pending, pendingRecv{gid: e.GID, peer: e.Peer, tag: e.Tag, size: e.Size})
+		r.pending = append(r.pending, pendingRecv{gid: e.GID, key: matchKey(e.Peer, e.Tag)})
 		r.comm += r.clock - t0
 		return true, nil
 	case e.Op == trace.OpRecv:
-		avail, ok := en.tables[rid].tryPop(matchKey{e.Peer, e.Tag})
+		avail, ok := en.tables[rid].tryPop(matchKey(e.Peer, e.Tag))
 		if !ok {
 			return false, nil // matching send not simulated yet
 		}
@@ -429,6 +467,10 @@ func (en *engine) stepColl(r *simRank, rid int, e *trace.Event) (bool, error) {
 		if g.arrived == en.n {
 			g.finish = g.maxT + mpisim.CollectiveCostNS(en.params, en.n, e.Op, e.Size)
 			g.done = true
+			// Every other rank is blocked in this group: wake them all.
+			for i := range en.ranks {
+				en.wake(i)
+			}
 		}
 	}
 	if !g.done {
@@ -444,7 +486,7 @@ func (en *engine) stepColl(r *simRank, rid int, e *trace.Event) (bool, error) {
 // coll lazily grows the collective table to hold index idx.
 func (en *engine) coll(idx int) *collGroup {
 	for len(en.colls) <= idx {
-		en.colls = append(en.colls, &collGroup{})
+		en.colls = append(en.colls, collGroup{})
 	}
-	return en.colls[idx]
+	return &en.colls[idx]
 }
